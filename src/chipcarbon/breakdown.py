@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConsistencyError
 from .quantities import CarbonMass
@@ -33,7 +33,7 @@ class CfpBreakdown:
 
     @property
     def total(self) -> CarbonMass:
-        return CarbonMass(sum(getattr(self, f.name).value for f in fields(self)))
+        return CarbonMass(sum(getattr(self, c).value for c in COMPONENTS))
 
     @property
     def embodied(self) -> CarbonMass:

@@ -48,6 +48,18 @@ class ChipSpec:
             raise ValueError(f"{self.name}: chip_lifetime must be positive")
 
 
+def _check_workload(name: str, size_gates: int, lifetime: Duration, volume: int,
+                    duty_cycle: float | None) -> None:
+    if size_gates < 1:
+        raise ValueError(f"{name}: size_gates must be >= 1")
+    if lifetime.value <= 0:
+        raise ValueError(f"{name}: lifetime must be positive")
+    if volume < 0:
+        raise ValueError(f"{name}: volume must be >= 0")
+    if duty_cycle is not None and not 0.0 <= duty_cycle <= 1.0:
+        raise ValueError(f"{name}: duty_cycle must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ApplicationProfile:
     """One workload to be hosted on an accelerator.
@@ -65,11 +77,25 @@ class ApplicationProfile:
     domain: Domain = Domain.CUSTOM
 
     def __post_init__(self) -> None:
-        if self.size_gates < 1:
-            raise ValueError(f"{self.name}: size_gates must be >= 1")
-        if self.lifetime.value <= 0:
-            raise ValueError(f"{self.name}: lifetime must be positive")
-        if self.volume < 0:
-            raise ValueError(f"{self.name}: volume must be >= 0")
-        if self.duty_cycle is not None and not 0.0 <= self.duty_cycle <= 1.0:
-            raise ValueError(f"{self.name}: duty_cycle must be in [0, 1]")
+        _check_workload(self.name, self.size_gates, self.lifetime, self.volume, self.duty_cycle)
+
+
+@dataclass(frozen=True)
+class Run:
+    """`count` back-to-back applications with the same workload.
+
+    The compressed schedule entry of the lifecycle functions: slot i of a run
+    starts at the run's start plus i * lifetime, and the next run starts where
+    slot `count` would.
+    """
+
+    count: int
+    lifetime: Duration
+    volume: int
+    size_gates: int
+    duty_cycle: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError("run count must be >= 0")
+        _check_workload("run", self.size_gates, self.lifetime, self.volume, self.duty_cycle)

@@ -49,7 +49,7 @@ def _load(params_path: str | None):
     errors = [f for f in findings if f.severity == "error"]
     for f in findings:
         if f.severity == "warning":
-            click.echo(f"warning: {f.path}: {f.message}", err=True)
+            click.echo(f"warning: {f.path}: {f.message}", file=sys.stderr)
     if errors:
         lines = "; ".join(f"{f.path}: {f.message}" for f in errors)
         raise ParameterError(lines)
@@ -68,7 +68,10 @@ def _record(command: str, inputs: dict, params, results: dict) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
-    click.echo(text, nl=False)
+    # Every echo names its stream: without `file`, click caches a wrapper per
+    # stream in a weak-key map whose value is the stream itself, so a caller
+    # that redirects stdout for each in-process `main()` would keep every output.
+    click.echo(text, nl=False, file=sys.stdout)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -119,6 +122,13 @@ def _parse_sweep(text: str) -> tuple[SweepVariable, tuple[float, ...]]:
     return variable, tuple(values)
 
 
+def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    """Option callback: refuse inf and nan at the flag that carries them."""
+    if value is not None and not math.isfinite(value):
+        raise ParameterError(f"{param.opts[0]} must be a finite number, got {value!r}")
+    return value
+
+
 @click.group()
 @click.option("--params", "params_path", envvar="CHIPCARBON_PARAMS", default=None,
               type=click.Path(exists=True, dir_okay=False),
@@ -135,10 +145,10 @@ _scenario_options = [
     click.option("--apps", "n_app", default=1, show_default=True, type=int,
                  help="Number of sequential applications."),
     click.option("--lifetime", "lifetime_years", default=2.0, show_default=True, type=float,
-                 help="Lifetime of each application, years."),
-    click.option("--volume", default=1e6, show_default=True, type=float,
+                 callback=_finite, help="Lifetime of each application, years."),
+    click.option("--volume", default=1e6, show_default=True, type=float, callback=_finite,
                  help="Deployed units per application."),
-    click.option("--horizon", "horizon_years", default=None, type=float,
+    click.option("--horizon", "horizon_years", default=None, type=float, callback=_finite,
                  help="Evaluation horizon in years; enables fleet replacement."),
 ]
 
@@ -182,9 +192,9 @@ def estimate(params_path, testcase, n_app, lifetime_years, volume, horizon_years
 
 @cli.command()
 @click.option("--domain", required=True, help="Workload domain (e.g. DNN, ImgProc, Crypto).")
-@click.option("--area-ratio", default=None, type=float,
+@click.option("--area-ratio", default=None, type=float, callback=_finite,
               help="Custom FPGA:ASIC area ratio (with --power-ratio).")
-@click.option("--power-ratio", default=None, type=float,
+@click.option("--power-ratio", default=None, type=float, callback=_finite,
               help="Custom FPGA:ASIC power ratio (with --area-ratio).")
 @_with(_scenario_options)
 @_with(_output_options)
@@ -323,10 +333,11 @@ def heatmap_cmd(params_path, domain, sweep_texts, n_app, lifetime_years, volume,
 @cli.command(name="timeline")
 @click.option("--domain", required=True)
 @click.option("--lifetime", "lifetime_years", default=1.0, show_default=True, type=float,
-              help="Lifetime of each application, years.")
-@click.option("--horizon", "horizon_years", required=True, type=float)
-@click.option("--step", "step_years", default=0.5, show_default=True, type=float)
-@click.option("--volume", default=1e6, show_default=True, type=float)
+              callback=_finite, help="Lifetime of each application, years.")
+@click.option("--horizon", "horizon_years", required=True, type=float, callback=_finite)
+@click.option("--step", "step_years", default=0.5, show_default=True, type=float,
+              callback=_finite)
+@click.option("--volume", default=1e6, show_default=True, type=float, callback=_finite)
 @_with(_output_options)
 @click.pass_obj
 def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years, volume,
@@ -334,18 +345,17 @@ def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years,
     """Cumulative carbon for both platforms out to a horizon."""
     from .chips import ChipKind
     from .lifecycle import cumulative_timeline
-    from .scenario import _resolve_apps  # same app construction as the sweeps
 
     params, library = _load(params_path)
     n_app = max(1, math.ceil(horizon_years / lifetime_years))
     scenario = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
                         volume=int(volume), horizon_years=horizon_years)
-    apps = _resolve_apps(scenario, library)
     testcase = library.domain(domain)
+    schedule = scenario.schedule(testcase)  # the same applications as the sweeps
     horizon = Duration.from_years(horizon_years)
     step = Duration.from_years(step_years)
-    fpga_tl = cumulative_timeline(ChipKind.FPGA, apps, testcase.fpga, params, horizon, step)
-    asic_tl = cumulative_timeline(ChipKind.ASIC, apps, testcase.asic, params, horizon, step)
+    fpga_tl = cumulative_timeline(ChipKind.FPGA, schedule, testcase.fpga, params, horizon, step)
+    asic_tl = cumulative_timeline(ChipKind.ASIC, schedule, testcase.asic, params, horizon, step)
     inputs = {"domain": domain, "lifetime_years": lifetime_years,
               "horizon_years": horizon_years, "step_years": step_years,
               "volume": int(volume), "apps": n_app}
@@ -381,10 +391,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         sys.exit(1)
     except ConsistencyError as exc:
-        click.echo(f"internal inconsistency: {exc}", err=True)
+        click.echo(f"internal inconsistency: {exc}", file=sys.stderr)
         sys.exit(2)
-    except (ParameterError, KeyError, ValueError) as exc:
+    except (ParameterError, KeyError, ValueError, OverflowError) as exc:
         message = exc.args[0] if exc.args else str(exc)
-        click.echo(f"error: {message}", err=True)
+        click.echo(f"error: {message}", file=sys.stderr)
         sys.exit(1)
     return 0

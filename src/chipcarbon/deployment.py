@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .chips import ApplicationProfile, ChipKind, ChipSpec
+from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
 from .params import AppDevParams, OperationParams
 from .quantities import CarbonMass, Duration, Power, energy_to_carbon, HOURS_PER_YEAR
 
@@ -43,12 +43,12 @@ def app_dev_cfp(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) ->
 
 def deployment_cfp(
     chip: ChipSpec,
-    app: ApplicationProfile,
+    app: ApplicationProfile | Run,
     op: OperationParams,
     appdev: AppDevParams,
     n_fpga: int = 1,
 ) -> tuple[CarbonMass, CarbonMass]:
-    """Deployment carbon of one application, split into rate and one-time.
+    """Deployment carbon of one application (or of each in a run), as rate and one-time.
 
     Returns ``(rate, one_time)`` where `rate` is kg CO2e per year of fleet
     operation (volume x devices-per-unit x per-device rate) and `one_time` is

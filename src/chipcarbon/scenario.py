@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .breakdown import CfpBreakdown
-from .chips import ApplicationProfile, ChipKind, ChipSpec, Domain
+from .chips import ChipKind, ChipSpec, Run
 from .errors import ConsistencyError
 from .lifecycle import asic_total_cfp, fpga_total_cfp
 from .params import ParameterSet
 from .quantities import Duration
-from .store import TestcaseLibrary
+from .store import DomainTestcase, TestcaseLibrary
 
 
 class SweepVariable(enum.Enum):
@@ -62,6 +62,12 @@ class Scenario:
             raise ValueError("lifetime_years must be positive")
         if self.volume < 0:
             raise ValueError("volume must be >= 0")
+
+    def schedule(self, testcase: DomainTestcase) -> list[Run]:
+        """The scenario's applications: one run of `n_app` identical ones."""
+        size = self.app_size_gates or testcase.default_app_size_gates
+        return [Run(self.n_app, Duration.from_years(self.lifetime_years), self.volume, size,
+                    self.duty_cycle)]
 
 
 @dataclass(frozen=True)
@@ -128,37 +134,17 @@ class RatioGrid:
         return crossings
 
 
-def _resolve_apps(scenario: Scenario, library: TestcaseLibrary) -> list[ApplicationProfile]:
-    testcase = library.domain(scenario.domain)
-    size = scenario.app_size_gates or testcase.default_app_size_gates
-    try:
-        domain = Domain(testcase.domain)
-    except ValueError:
-        domain = Domain.CUSTOM
-    return [
-        ApplicationProfile(
-            name=f"{scenario.domain}-app{i + 1}",
-            size_gates=size,
-            lifetime=Duration.from_years(scenario.lifetime_years),
-            volume=scenario.volume,
-            duty_cycle=scenario.duty_cycle,
-            domain=domain,
-        )
-        for i in range(scenario.n_app)
-    ]
-
-
 def evaluate_scenario(
     scenario: Scenario, params: ParameterSet, library: TestcaseLibrary
 ) -> tuple[CfpBreakdown, CfpBreakdown]:
     """Both platforms' totals for one scenario, as (FPGA, ASIC)."""
     testcase = library.domain(scenario.domain)
-    apps = _resolve_apps(scenario, library)
+    schedule = scenario.schedule(testcase)
     horizon = None
     if scenario.horizon_years is not None:
         horizon = Duration.from_years(scenario.horizon_years)
-    fpga = fpga_total_cfp(apps, testcase.fpga, params, horizon)
-    asic = asic_total_cfp(apps, testcase.asic, params, horizon)
+    fpga = fpga_total_cfp(schedule, testcase.fpga, params, horizon)
+    asic = asic_total_cfp(schedule, testcase.asic, params, horizon)
     return fpga, asic
 
 
@@ -171,19 +157,11 @@ def estimate_platform(
     horizon_years: float | None = None,
 ) -> CfpBreakdown:
     """Single-platform estimate: run `n_app` chip-sized applications in turn."""
-    apps = [
-        ApplicationProfile(
-            name=f"{chip.name}-app{i + 1}",
-            size_gates=chip.gates,
-            lifetime=Duration.from_years(lifetime_years),
-            volume=volume,
-        )
-        for i in range(n_app)
-    ]
+    schedule = [Run(n_app, Duration.from_years(lifetime_years), volume, chip.gates)]
     horizon = Duration.from_years(horizon_years) if horizon_years is not None else None
     if chip.kind is ChipKind.FPGA:
-        return fpga_total_cfp(apps, chip, params, horizon)
-    return asic_total_cfp(apps, chip, params, horizon)
+        return fpga_total_cfp(schedule, chip, params, horizon)
+    return asic_total_cfp(schedule, chip, params, horizon)
 
 
 def _apply(scenario: Scenario, variable: SweepVariable, value: float) -> Scenario:
@@ -266,13 +244,13 @@ def heatmap(
         row = []
         for x in x_values:
             scenario = _apply(_apply(fixed, y_variable, y), x_variable, x)
-            fpga, asic = evaluate_scenario(scenario, params, library)
-            if asic.total.value <= 0.0 or not math.isfinite(fpga.total.value / asic.total.value):
+            fpga, asic = (b.total.value for b in evaluate_scenario(scenario, params, library))
+            if asic <= 0.0 or not math.isfinite(fpga / asic):
                 raise ConsistencyError(
                     f"non-finite or non-positive ratio at ({x_variable.value}={x}, "
                     f"{y_variable.value}={y})"
                 )
-            row.append(fpga.total.value / asic.total.value)
+            row.append(fpga / asic)
         rows.append(tuple(row))
     return RatioGrid(x_variable, y_variable, tuple(float(v) for v in x_values),
                      tuple(float(v) for v in y_values), tuple(rows))

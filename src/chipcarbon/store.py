@@ -92,6 +92,12 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+def _as_bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _check_keys(doc: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
@@ -133,7 +139,8 @@ def _build(doc: dict) -> ParameterSet:
             appdev_scaling=o.get("appdev_scaling", "one_time"),
             hours_per_dev_month=_as_number(o.get("hours_per_dev_month", 730.0),
                                            "options.hours_per_dev_month"),
-            replacement_reprogramming=bool(o.get("replacement_reprogramming", False)),
+            replacement_reprogramming=_as_bool(o.get("replacement_reprogramming", False),
+                                               "options.replacement_reprogramming"),
             breakdown_rel_tol=_as_number(o.get("breakdown_rel_tol", 1e-9),
                                          "options.breakdown_rel_tol"),
             crossover_tie_rel_tol=_as_number(o.get("crossover_tie_rel_tol", 1e-9),

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cli_env import cli_env
 
 
@@ -138,3 +140,56 @@ class TestDeterminism:
             first = run_cli(*args).stdout
             second = run_cli(*args).stdout
             assert first == second
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("args, flag", [
+        (("compare", "--domain", "DNN", "--volume", "inf"), "--volume"),
+        (("compare", "--domain", "DNN", "--area-ratio", "nan", "--power-ratio", "1"),
+         "--area-ratio"),
+        (("compare", "--domain", "DNN", "--area-ratio", "2", "--power-ratio", "-inf"),
+         "--power-ratio"),
+        (("estimate", "--testcase", "IndustryFPGA1", "--volume", "nan"), "--volume"),
+        (("timeline", "--domain", "DNN", "--horizon", "inf"), "--horizon"),
+    ])
+    def test_rejected_at_the_flag(self, args, flag):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], lines
+        assert proc.stdout == b""
+
+
+class TestCostIndependentOfAppCount:
+    def test_billion_year_timeline_returns(self):
+        proc = subprocess.run([sys.executable, "-m", "chipcarbon", "timeline", "--domain", "DNN",
+                               "--horizon", "1e9", "--step", "1e8"],
+                              capture_output=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert len(proc.stdout.decode().splitlines()) == 1 + 11
+
+
+class TestInProcessMain:
+    def test_main_keeps_no_reference_to_its_streams(self):
+        # a caller that runs main() in-process with fresh streams each time must
+        # not accumulate them (and every output written to them)
+        import contextlib
+        import gc
+        import io
+        import weakref
+
+        from chipcarbon.cli import main
+
+        refs = []
+        for argv in (["compare", "--domain", "DNN"], ["compare", "--domain", "NoSuch"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+            assert out.getvalue() or err.getvalue().startswith("error: ")
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)

@@ -1,20 +1,23 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chipcarbon.chips import ApplicationProfile, ChipKind
-from chipcarbon.embodied import unit_embodied_cfp
+from chipcarbon.chips import ApplicationProfile, ChipKind, Run
+from chipcarbon.embodied import design_cfp, unit_embodied_cfp
 from chipcarbon.lifecycle import (
     asic_total_cfp,
     cumulative_timeline,
     fpga_total_cfp,
     n_fpga_required,
 )
-from chipcarbon.quantities import Duration
+from chipcarbon.quantities import HOURS_PER_YEAR, Duration
+from chipcarbon.scenario import Scenario, evaluate_scenario
 
 from conftest import params_with
-from oracle import oracle_asic_total, oracle_fpga_total
+from oracle import oracle_asic_total, oracle_fpga_total, oracle_timeline, slots
 
 
 def _apps(n, years=2.0, volume=1000, size=int(1e8), duty=None):
@@ -251,3 +254,119 @@ class TestTimeline:
         assert math.isclose(
             oracle_fpga_total(apps, tc.fpga, params, 30.0)["app_dev"],
             with_repro.app_dev.value, rel_tol=1e-9)
+
+
+PARAM_SETS = (params_with(""), params_with("options:\n  replacement_reprogramming: true\n"),
+              params_with("options:\n  appdev_scaling: literal\n"))
+# whole, dyadic and decimal lifetimes: the decimal ones drift by an ulp when summed
+LIFETIMES = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 0.3, 1.032]),
+                      st.floats(0.2, 4.0).map(lambda y: round(y, 3)))
+
+
+def _draw_schedule(data, library, max_runs, max_len):
+    """A heterogeneous schedule: runs of identical applications, volumes <= 1000.
+
+    The FPGA's chip lifetime is drawn too, so that short schedules see re-purchases.
+    """
+    tc = library.domain(data.draw(st.sampled_from(["DNN", "ImgProc", "Crypto"])))
+    chip_years = data.draw(st.sampled_from([None, 0.75, 1.0, 2.5, 3.3]))
+    if chip_years is not None:
+        fpga = dataclasses.replace(tc.fpga, chip_lifetime=Duration.from_years(chip_years))
+        tc = dataclasses.replace(tc, fpga=fpga)
+    apps = []
+    for r in range(data.draw(st.integers(1, max_runs))):
+        years = data.draw(LIFETIMES)
+        volume = data.draw(st.integers(0, 1000))
+        scale = data.draw(st.sampled_from([None, 0.5, 1.0, 2.5]))
+        size = tc.default_app_size_gates if scale is None else int(scale * tc.fpga.gates)
+        duty = data.draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+        apps += [ApplicationProfile(f"r{r}a{i}", size, Duration.from_years(years), volume, duty)
+                 for i in range(data.draw(st.integers(1, max_len)))]
+    return tc, apps
+
+
+def _draw_horizon(data, tc, apps):
+    """No horizon, a typed one, or one on a slot start, a slot end or a re-purchase."""
+    spans = slots(apps, [tc.asic] * len(apps))
+    end_years = spans[-1][1] / HOURS_PER_YEAR
+    life = tc.fpga.chip_lifetime.to_years()
+    return data.draw(st.one_of(
+        st.none(),
+        st.floats(0.0, 1.2 * end_years),
+        st.sampled_from([s / HOURS_PER_YEAR for span in spans for s in span]),
+        st.integers(0, len(apps)).map(lambda k: k * apps[0].lifetime.to_years()),
+        st.integers(1, 3).map(lambda k: k * life),
+    ))
+
+
+class TestKernelAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_totals_match_oracle(self, library, data):
+        params = data.draw(st.sampled_from(PARAM_SETS))
+        tc, apps = _draw_schedule(data, library, max_runs=3, max_len=8)
+        horizon_years = _draw_horizon(data, tc, apps)
+        horizon = None if horizon_years is None else Duration.from_years(horizon_years)
+        _assert_matches_oracle(asic_total_cfp(apps, tc.asic, params, horizon),
+                               oracle_asic_total(apps, [tc.asic] * len(apps), params,
+                                                 horizon_years))
+        _assert_matches_oracle(fpga_total_cfp(apps, tc.fpga, params, horizon),
+                               oracle_fpga_total(apps, tc.fpga, params, horizon_years))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_timeline_matches_oracle(self, library, data):
+        params = data.draw(st.sampled_from(PARAM_SETS))
+        tc, apps = _draw_schedule(data, library, max_runs=2, max_len=4)
+        horizon_years = _draw_horizon(data, tc, apps) or 0.0
+        step_years = max(data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.3])), horizon_years / 24)
+        horizon, step = Duration.from_years(horizon_years), Duration.from_years(step_years)
+        for kind, chip, fpga in ((ChipKind.ASIC, tc.asic, None),
+                                 (ChipKind.FPGA, tc.fpga, tc.fpga)):
+            rows = cumulative_timeline(kind, apps, chip, params, horizon, step)
+            expected = oracle_timeline(apps, [chip] * len(apps), fpga, params, horizon_years,
+                                       step_years)
+            assert [p.time.value for p in rows] == [t for t, _ in expected]
+            for point, (_, booked) in zip(rows, expected):
+                _assert_matches_oracle(point.cumulative, booked)
+
+
+class TestClosedFormKernel:
+    def test_slot_starts_are_products_not_running_sums(self, params, library):
+        # 31 running-sum additions of 1.032 y land an ulp past 31.992 y; the
+        # product 31 * 1.032 y does not, so the 32nd application is booked,
+        # as in the equivalent whole-year case
+        scenario = Scenario("Crypto", n_app=42, lifetime_years=1.032, volume=1000,
+                            horizon_years=31.992)
+        _, asic = evaluate_scenario(scenario, params, library)
+        design = design_cfp(params.design, library.domain("Crypto").asic.gates).value
+        assert asic.design.value / design == pytest.approx(32.0, rel=1e-12)
+
+    def test_cost_does_not_depend_on_app_count(self, params, library):
+        one = evaluate_scenario(Scenario("DNN", n_app=1, lifetime_years=2.0, volume=1000),
+                                params, library)[1]
+        many = evaluate_scenario(Scenario("DNN", n_app=10**9, lifetime_years=2.0, volume=1000),
+                                 params, library)[1]
+        assert math.isclose(many.total.value, 10**9 * one.total.value, rel_tol=1e-9)
+
+    def test_run_equals_the_applications_it_stands_for(self, params, library):
+        tc = library.domain("ImgProc")
+        apps = _apps(6, years=1.5, volume=700, size=tc.default_app_size_gates)
+        run = [Run(6, Duration.from_years(1.5), 700, tc.default_app_size_gates)]
+        horizon = Duration.from_years(5.2)
+        for total, chip in ((asic_total_cfp, tc.asic), (fpga_total_cfp, tc.fpga)):
+            assert total(run, chip, params, horizon) == total(apps, chip, params, horizon)
+
+    def test_run_checks_its_workload(self):
+        for bad in (dict(count=-1), dict(size_gates=0), dict(duty_cycle=1.5),
+                    dict(volume=-1), dict(lifetime=Duration.hours(0.0))):
+            fields = dict(count=2, lifetime=Duration.from_years(1.0), volume=10,
+                          size_gates=100, duty_cycle=None)
+            with pytest.raises(ValueError):
+                Run(**{**fields, **bad})
+
+    def test_timeline_checks_chip_kind(self, params, library):
+        tc = library.domain("DNN")
+        with pytest.raises(ValueError, match="expected an FPGA"):
+            cumulative_timeline(ChipKind.FPGA, _apps(2), tc.asic, params,
+                                Duration.from_years(4.0), Duration.from_years(1.0))

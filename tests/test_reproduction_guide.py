@@ -1,4 +1,8 @@
-"""Every CLI command documented in the README runs from bundled defaults."""
+"""Every CLI command documented in the README runs from bundled defaults.
+
+`readme_golden.txt` holds the stdout of each command, after a `$ chipcarbon ...`
+line that names it; the README commands must keep printing it byte for byte.
+"""
 
 import pathlib
 import re
@@ -11,6 +15,7 @@ import pytest
 from cli_env import cli_env
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = pathlib.Path(__file__).with_name("readme_golden.txt")
 
 
 def readme_commands():
@@ -24,16 +29,25 @@ def readme_commands():
     return commands
 
 
+def golden_outputs() -> dict[str, bytes]:
+    """Command (arguments joined by single spaces) -> its recorded stdout."""
+    text = GOLDEN.read_bytes().decode("utf-8")
+    blocks = re.split(r"^\$ ", text, flags=re.M)[1:]
+    return {head: body.encode("utf-8")
+            for head, body in (block.split("\n", 1) for block in blocks)}
+
+
 @pytest.mark.parametrize("command", readme_commands(), ids=lambda c: c[:70])
 def test_readme_command_runs(command, tmp_path):
     args = shlex.split(command)[1:]
+    expected = golden_outputs()[" ".join(["chipcarbon", *args])]
     # redirect any documented output file into the sandbox
     if "--out" in args:
         args[args.index("--out") + 1] = str(tmp_path / "out.csv")
     proc = subprocess.run([sys.executable, "-m", "chipcarbon", *args],
                           capture_output=True, cwd=tmp_path, env=cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout
+    assert proc.stdout == expected
 
 
 def test_readme_actually_documents_the_studies():

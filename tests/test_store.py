@@ -26,6 +26,17 @@ class TestLoadDefaults:
 
 
 class TestOverrides:
+    @pytest.mark.parametrize("raw", ['"false"', '"true"', "0", "1", "no_such_flag"])
+    def test_replacement_reprogramming_needs_a_yaml_boolean(self, raw):
+        # bool("false") is True, so a quoted string used to switch the option on
+        with pytest.raises(ParameterError, match="options.replacement_reprogramming"):
+            params_with(f"options:\n  replacement_reprogramming: {raw}\n")
+
+    def test_replacement_reprogramming_yaml_booleans(self):
+        for raw, expected in (("false", False), ("true", True), ("no", False)):
+            p = params_with(f"options:\n  replacement_reprogramming: {raw}\n")
+            assert p.options.replacement_reprogramming is expected
+
     def test_field_override_keeps_other_defaults(self, params):
         p = params_with("operation:\n  duty_cycle: 0.5\n")
         assert p.operation.duty_cycle == 0.5
