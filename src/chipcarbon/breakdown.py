@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ConsistencyError
 from .quantities import CarbonMass
@@ -30,6 +31,11 @@ class CfpBreakdown:
     def zero(cls) -> "CfpBreakdown":
         z = CarbonMass.zero()
         return cls(z, z, z, z, z, z)
+
+    @classmethod
+    def of(cls, values: Iterable[float]) -> "CfpBreakdown":
+        """A breakdown of plain kg values in `COMPONENTS` order."""
+        return cls(*(CarbonMass(x) for x in values))
 
     @property
     def total(self) -> CarbonMass:

@@ -129,6 +129,18 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> 
     return value
 
 
+def _units(ctx: click.Context, param: click.Parameter, value: float) -> int:
+    """Option callback: a finite volume, rounded to whole units as sweep samples are."""
+    return int(round(_finite(ctx, param, value)))
+
+
+def _app_count(ctx: click.Context, param: click.Parameter, value: int) -> int:
+    """Option callback: every schedule runs at least one application."""
+    if value < 1:
+        raise ParameterError(f"{param.opts[0]} must be >= 1, got {value}")
+    return value
+
+
 @click.group()
 @click.option("--params", "params_path", envvar="CHIPCARBON_PARAMS", default=None,
               type=click.Path(exists=True, dir_okay=False),
@@ -143,11 +155,11 @@ def cli(ctx: click.Context, params_path: str | None) -> None:
 
 _scenario_options = [
     click.option("--apps", "n_app", default=1, show_default=True, type=int,
-                 help="Number of sequential applications."),
+                 callback=_app_count, help="Number of sequential applications."),
     click.option("--lifetime", "lifetime_years", default=2.0, show_default=True, type=float,
                  callback=_finite, help="Lifetime of each application, years."),
-    click.option("--volume", default=1e6, show_default=True, type=float, callback=_finite,
-                 help="Deployed units per application."),
+    click.option("--volume", default=1e6, show_default=True, type=float, callback=_units,
+                 help="Deployed units per application (rounded to a whole number)."),
     click.option("--horizon", "horizon_years", default=None, type=float, callback=_finite,
                  help="Evaluation horizon in years; enables fleet replacement."),
 ]
@@ -178,10 +190,10 @@ def estimate(params_path, testcase, n_app, lifetime_years, volume, horizon_years
     """Component breakdown for one named platform."""
     params, library = _load(params_path)
     chip = library.industry(testcase)
-    b = estimate_platform(chip, n_app, lifetime_years, int(volume), params, horizon_years)
+    b = estimate_platform(chip, n_app, lifetime_years, volume, params, horizon_years)
     b.check_closure(params.options.breakdown_rel_tol)
     inputs = {"testcase": testcase, "apps": n_app, "lifetime_years": lifetime_years,
-              "volume": int(volume), "horizon_years": horizon_years}
+              "volume": volume, "horizon_years": horizon_years}
     if fmt == "record":
         text = json.dumps(_record("estimate", inputs, params, {"breakdown": b.as_dict()}),
                           sort_keys=True, indent=2) + "\n"
@@ -213,7 +225,7 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
         library = TestcaseLibrary(domains={**library.domains, domain: custom},
                                   industry_chips=library.industry_chips)
     scenario = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                        volume=int(volume), horizon_years=horizon_years)
+                        volume=volume, horizon_years=horizon_years)
     report = breakdown_report(scenario, params, library)
     report.fpga.check_closure(params.options.breakdown_rel_tol)
     report.asic.check_closure(params.options.breakdown_rel_tol)
@@ -226,7 +238,7 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
     else:
         verdict = "FPGA-favored" if fpga_total < asic_total else "ASIC-favored"
     inputs = {"domain": domain, "apps": n_app, "lifetime_years": lifetime_years,
-              "volume": int(volume), "horizon_years": horizon_years,
+              "volume": volume, "horizon_years": horizon_years,
               "area_ratio": area_ratio, "power_ratio": power_ratio}
     results = {"fpga": report.fpga.as_dict(), "asic": report.asic.as_dict(),
                "ratio": ratio, "verdict": verdict}
@@ -241,21 +253,18 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
     _emit(text, out)
 
 
-def _sweep_table(points, crossovers) -> str:
-    header = (["value", "fpga_total", "asic_total"]
+def _pair_table(x_name: str, points) -> str:
+    """CSV of (x, FPGA breakdown, ASIC breakdown) rows: both totals, then components."""
+    header = ([x_name, "fpga_total", "asic_total"]
               + [f"fpga_{c}" for c in COMPONENTS] + [f"asic_{c}" for c in COMPONENTS])
     rows = []
-    for pt in points:
-        pt.fpga.check_closure()
-        pt.asic.check_closure()
-        rows.append([_fmt(pt.value), _fmt(pt.fpga.total.value), _fmt(pt.asic.total.value)]
-                    + [_fmt(getattr(pt.fpga, c).value) for c in COMPONENTS]
-                    + [_fmt(getattr(pt.asic, c).value) for c in COMPONENTS])
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    for c in crossovers:
-        lines.append(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
-                     f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}")
-    return "\n".join(lines) + "\n"
+    for x, fpga, asic in points:
+        fpga.check_closure()
+        asic.check_closure()
+        rows.append([_fmt(x), _fmt(fpga.total.value), _fmt(asic.total.value)]
+                    + [_fmt(getattr(fpga, c).value) for c in COMPONENTS]
+                    + [_fmt(getattr(asic, c).value) for c in COMPONENTS])
+    return _tabular(header, rows)
 
 
 @cli.command(name="sweep")
@@ -272,11 +281,11 @@ def sweep_cmd(params_path, domain, sweep_text, n_app, lifetime_years, volume,
     params, library = _load(params_path)
     variable, values = _parse_sweep(sweep_text)
     fixed = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                     volume=int(volume), horizon_years=horizon_years)
+                     volume=volume, horizon_years=horizon_years)
     points = sweep(SweepSpec(variable, values, fixed), params, library)
     crossovers = find_crossovers(points, variable, params.options.crossover_tie_rel_tol)
     inputs = {"domain": domain, "sweep": sweep_text, "apps": n_app,
-              "lifetime_years": lifetime_years, "volume": int(volume),
+              "lifetime_years": lifetime_years, "volume": volume,
               "horizon_years": horizon_years}
     if fmt == "record":
         results = {
@@ -288,7 +297,9 @@ def sweep_cmd(params_path, domain, sweep_text, n_app, lifetime_years, volume,
         text = json.dumps(_record("sweep", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = _sweep_table(points, crossovers)
+        text = _pair_table("value", ((pt.value, pt.fpga, pt.asic) for pt in points))
+        text += "".join(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
+                        f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
     _emit(text, out)
 
 
@@ -307,10 +318,10 @@ def heatmap_cmd(params_path, domain, sweep_texts, n_app, lifetime_years, volume,
         raise ParameterError("heatmap needs exactly two --sweep axes")
     (x_var, x_values), (y_var, y_values) = map(_parse_sweep, sweep_texts)
     fixed = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                     volume=int(volume), horizon_years=horizon_years)
+                     volume=volume, horizon_years=horizon_years)
     grid = heatmap(x_var, x_values, y_var, y_values, fixed, params, library)
     inputs = {"domain": domain, "x": sweep_texts[0], "y": sweep_texts[1], "apps": n_app,
-              "lifetime_years": lifetime_years, "volume": int(volume),
+              "lifetime_years": lifetime_years, "volume": volume,
               "horizon_years": horizon_years}
     if fmt == "record":
         results = {"x_values": list(grid.x_values), "y_values": list(grid.y_values),
@@ -337,7 +348,7 @@ def heatmap_cmd(params_path, domain, sweep_texts, n_app, lifetime_years, volume,
 @click.option("--horizon", "horizon_years", required=True, type=float, callback=_finite)
 @click.option("--step", "step_years", default=0.5, show_default=True, type=float,
               callback=_finite)
-@click.option("--volume", default=1e6, show_default=True, type=float, callback=_finite)
+@click.option("--volume", default=1e6, show_default=True, type=float, callback=_units)
 @_with(_output_options)
 @click.pass_obj
 def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years, volume,
@@ -349,7 +360,7 @@ def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years,
     params, library = _load(params_path)
     n_app = max(1, math.ceil(horizon_years / lifetime_years))
     scenario = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                        volume=int(volume), horizon_years=horizon_years)
+                        volume=volume, horizon_years=horizon_years)
     testcase = library.domain(domain)
     schedule = scenario.schedule(testcase)  # the same applications as the sweeps
     horizon = Duration.from_years(horizon_years)
@@ -358,7 +369,7 @@ def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years,
     asic_tl = cumulative_timeline(ChipKind.ASIC, schedule, testcase.asic, params, horizon, step)
     inputs = {"domain": domain, "lifetime_years": lifetime_years,
               "horizon_years": horizon_years, "step_years": step_years,
-              "volume": int(volume), "apps": n_app}
+              "volume": volume, "apps": n_app}
     if fmt == "record":
         results = {"points": [
             {"t_years": f.time.to_years(), "fpga": f.cumulative.as_dict(),
@@ -367,17 +378,8 @@ def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years,
         text = json.dumps(_record("timeline", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        header = (["t_years", "fpga_total", "asic_total"]
-                  + [f"fpga_{c}" for c in COMPONENTS] + [f"asic_{c}" for c in COMPONENTS])
-        rows = []
-        for f, a in zip(fpga_tl, asic_tl):
-            f.cumulative.check_closure()
-            a.cumulative.check_closure()
-            rows.append([_fmt(f.time.to_years()), _fmt(f.cumulative.total.value),
-                         _fmt(a.cumulative.total.value)]
-                        + [_fmt(getattr(f.cumulative, c).value) for c in COMPONENTS]
-                        + [_fmt(getattr(a.cumulative, c).value) for c in COMPONENTS])
-        text = _tabular(header, rows)
+        text = _pair_table("t_years", ((f.time.to_years(), f.cumulative, a.cumulative)
+                                       for f, a in zip(fpga_tl, asic_tl)))
     _emit(text, out)
 
 

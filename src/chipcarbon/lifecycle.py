@@ -27,10 +27,10 @@ from typing import Sequence
 
 from .breakdown import CfpBreakdown
 from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
-from .deployment import app_dev_cfp, deployment_cfp
+from .deployment import operational_cfp_per_year
 from .embodied import design_cfp, eol_cfp, manufacturing_cfp, packaging_cfp
 from .params import ParameterSet
-from .quantities import CarbonMass, Duration, HOURS_PER_YEAR
+from .quantities import Duration, HOURS_PER_YEAR
 
 Schedule = Sequence["ApplicationProfile | Run"]
 
@@ -65,11 +65,51 @@ def _last(origin: float, period: float, limit: float, strict: bool = False) -> f
     return k if within(origin + k * period, limit) else k - 1
 
 
-def _runs(apps: Schedule, chips: Sequence[ChipSpec], kind: ChipKind) -> list[list]:
-    """Merge consecutive identical (application, chip) entries into runs.
+class ChipTerms:
+    """One chip's model terms in plain floats, shared by the schedules of one query.
 
-    Each run is [count, proto, chip]; `proto` (an entry of `apps`) carries the
-    shared lifetime, volume, size, and duty cycle. Empty runs are dropped.
+    Design, and manufacturing, packaging and EOL per device, come from the
+    unit functions; the operating rate per device-year from
+    `operational_cfp_per_year`, once per duty cycle; development kg from the
+    hour terms of `app_dev_time`, in `app_dev_cfp`'s operation order. So every
+    total built from these floats is bit-identical to one built through the
+    unit functions. Build one per chip and query and drop it with the query.
+    """
+
+    def __init__(self, chip: ChipSpec, params: ParameterSet) -> None:
+        self.chip = chip
+        self.embodied = (design_cfp(params.design, chip.gates).value,
+                         manufacturing_cfp(chip, params).value, packaging_cfp(chip).value,
+                         eol_cfp(chip, params.eol).value)
+        self._operation = params.operation
+        self._rates: dict[float | None, float] = {}
+        a = params.appdev
+        fpga = chip.kind is ChipKind.FPGA
+        self.dev_hours_per_app = a.frontend_time.value + a.backend_time.value if fpga else 0.0
+        self.dev_hours_per_unit = (a.config_time_fpga if fpga else a.config_time_asic).value
+        self._dev_w, self._dev_grid = a.dev_power.value, a.dev_grid_intensity.value
+        self.literal = params.options.appdev_scaling == "literal"
+        self.reprogramming = params.options.replacement_reprogramming
+
+    def rate(self, duty_cycle: float | None) -> float:
+        """Operating kg per device-year; None is the default duty cycle."""
+        if duty_cycle not in self._rates:
+            self._rates[duty_cycle] = operational_cfp_per_year(
+                self.chip.peak_power, self._operation, duty_cycle).value
+        return self._rates[duty_cycle]
+
+    def dev_kg(self, hours: float) -> float:
+        """Development kg of `hours` of dev-compute time."""
+        return self._dev_w * hours / 1000.0 * self._dev_grid
+
+
+def _runs(apps: Schedule, chips: Sequence[ChipSpec], kind: ChipKind, params: ParameterSet,
+          terms: dict[ChipSpec, ChipTerms]) -> list[tuple]:
+    """Merge consecutive identical (application, chip) entries into plain runs.
+
+    A plain run is (count, lifetime in hours, volume, size in gates, duty
+    cycle, chip terms). Empty runs are dropped. A chip missing from `terms`
+    gets its terms added.
     """
     runs: list[list] = []
     last_key = None
@@ -79,65 +119,67 @@ def _runs(apps: Schedule, chips: Sequence[ChipSpec], kind: ChipKind) -> list[lis
         if key == last_key:
             runs[-1][0] += count
         elif count:
-            runs.append([count, app, chip])
+            if chip.kind is not kind:
+                raise ValueError(f"{chip.name}: expected an {kind.value} spec")
+            if chip not in terms:
+                terms[chip] = ChipTerms(chip, params)
+            runs.append([count, *key[:4], terms[chip]])
             last_key = key
-    for _, _, chip in runs:
-        if chip.kind is not kind:
-            raise ValueError(f"{chip.name}: expected an {kind.value} spec")
-    return runs
-
-
-def _unit_embodied(chip: ChipSpec, params: ParameterSet) -> tuple[float, ...]:
-    """Design, and manufacturing, packaging and EOL per device, in kg."""
-    return (design_cfp(params.design, chip.gates).value, manufacturing_cfp(chip, params).value,
-            packaging_cfp(chip).value, eol_cfp(chip, params.eol).value)
+    return [tuple(run) for run in runs]
 
 
 class _Kernel:
     """One platform's schedule reduced to per-run coefficients in plain floats.
 
-    `at(t)` returns the carbon booked by hour t in O(runs): slots started,
-    slots completed, the one partial slot, and fleet re-purchases are counted
-    in closed form. `fpga` is the fleet's spec, or None for ASICs.
+    `at(t)` returns the carbon booked by hour t in O(runs), as floats in
+    `COMPONENTS` order: slots started, slots completed, the one partial slot,
+    and fleet re-purchases are counted in closed form. `fleet` is the terms of
+    the FPGA fleet, or None for ASICs.
     """
 
-    def __init__(self, runs: list[list], fpga: ChipSpec | None, params: ParameterSet,
-                 horizon: Duration | None) -> None:
-        self.period = None if fpga is None else fpga.chip_lifetime.value  # fleet life
+    def __init__(self, runs: Sequence[tuple], fleet: ChipTerms | None,
+                 horizon_h: float | None) -> None:
+        self.fleet = fleet
+        self.period = period = None if fleet is None else fleet.chip.chip_lifetime.value
         # (start, lifetime, count, devices, rate, one-time, ASIC per-device embodied)
         self.rows: list[tuple] = []
         self.swaps: list[tuple] = []  # (re-purchases before run, before its end, kg each)
+        self.devices = 0  # fleet size: the most devices any run needs
         start = 0.0
-        for count, app, chip in runs:
-            n_dev = 1 if fpga is None else n_fpga_required(app.size_gates, fpga.gates)
-            rate, one_time = deployment_cfp(chip, app, params.operation, params.appdev, n_dev)
-            if params.options.appdev_scaling == "literal":
-                one_time = one_time * app.lifetime.to_years()
-            lifetime_h = app.lifetime.value
+        for count, lifetime_h, volume, size, duty, terms in runs:
+            devices = volume * (1 if fleet is None else n_fpga_required(size, fleet.chip.gates))
+            rate = one_time = 0.0  # a zero-volume application deploys nothing
+            if volume:
+                rate = terms.rate(duty) * devices
+                one_time = terms.dev_kg(terms.dev_hours_per_app
+                                        + volume * terms.dev_hours_per_unit)
+                if terms.literal:
+                    one_time = one_time * (lifetime_h / HOURS_PER_YEAR)
             end = start + count * lifetime_h
-            self.rows.append((start, lifetime_h, count, app.volume * n_dev, rate.value,
-                              one_time.value, None if fpga else _unit_embodied(chip, params)))
-            if fpga is not None and params.options.replacement_reprogramming:
+            self.devices = max(self.devices, devices)
+            self.rows.append((start, lifetime_h, count, devices, rate, one_time,
+                              None if fleet else terms.embodied))
+            if fleet is not None and fleet.reprogramming:
                 # a re-purchased fleet reloads the application running at that instant
-                self.swaps.append((max(0, _last(0.0, self.period, start, strict=True)),
-                                   max(0, _last(0.0, self.period, end, strict=True)),
-                                   app_dev_cfp(ChipKind.FPGA, 0, app.volume, params.appdev).value))
+                self.swaps.append((max(0, _last(0.0, period, start, strict=True)),
+                                   max(0, _last(0.0, period, end, strict=True)),
+                                   fleet.dev_kg(volume * fleet.dev_hours_per_unit)))
             start = end
-        self.cutoff = math.inf if horizon is None else min(horizon.value, start)
-        if fpga is not None:
-            self.unit = _unit_embodied(fpga, params)
-            self.fleet = max((row[3] for row in self.rows), default=0)
-            self.replacements = 0
-            if horizon is not None:
-                self.replacements = max(0, _last(0.0, self.period, self.cutoff, strict=True))
+        self.cutoff = math.inf if horizon_h is None else min(horizon_h, start)
+        self.replacements = 0
+        if fleet is not None and horizon_h is not None:
+            self.replacements = max(0, _last(0.0, period, self.cutoff, strict=True))
 
-    def at(self, t: float) -> CfpBreakdown:
+    def at(self, t: float) -> tuple[float, ...]:
         until = min(t, self.cutoff)
         design = mfg = pkg = eol = app_dev = operational = 0.0
-        if self.period is not None:
+        if self.fleet is not None:
             replaced = min(self.replacements, max(0, _last(0.0, self.period, t)))
-            design, m, p, e = self.unit
-            mfg, pkg, eol = ((x * self.fleet) * (1 + replaced) for x in (m, p, e))
+            design, m, p, e = self.fleet.embodied
+            bought = 1 + replaced
+            mfg = (m * self.devices) * bought
+            pkg = (p * self.devices) * bought
+            eol = (e * self.devices) * bought
             for before, through, kg in self.swaps:
                 app_dev += kg * (min(replaced, through) - min(replaced, before))
         for start, lifetime_h, count, devices, rate, one_time, unit in self.rows:
@@ -157,8 +199,21 @@ class _Kernel:
                 mfg += (m * devices) * started
                 pkg += (p * devices) * started
                 eol += (e * devices) * started
-        return CfpBreakdown(*(CarbonMass(x) for x in
-                              (design, mfg, pkg, eol, app_dev, operational)))
+        # no devices times a recycling credit is -0.0, which would print as "-0"
+        return design, mfg, pkg, eol + 0.0, app_dev, operational
+
+
+def run_totals(runs: Sequence[tuple], fleet: ChipTerms | None,
+               horizon_h: float | None) -> tuple[float, ...]:
+    """Component kg, in `COMPONENTS` order, of plain runs (see `_runs`) to the horizon.
+
+    `fleet` is the FPGA fleet's terms, or None for an ASIC per application.
+    """
+    return _Kernel(runs, fleet, horizon_h).at(math.inf)
+
+
+def _hours(horizon: Duration | None) -> float | None:
+    return None if horizon is None else horizon.value
 
 
 def asic_total_cfp(
@@ -178,8 +233,8 @@ def asic_total_cfp(
     chips = [asic_per_app] * len(apps) if isinstance(asic_per_app, ChipSpec) else asic_per_app
     if len(chips) != len(apps):
         raise ValueError("need exactly one ASIC spec per application")
-    runs = _runs(apps, chips, ChipKind.ASIC)
-    return _Kernel(runs, None, params, horizon).at(math.inf)
+    runs = _runs(apps, chips, ChipKind.ASIC, params, {})
+    return CfpBreakdown.of(run_totals(runs, None, _hours(horizon)))
 
 
 def fpga_total_cfp(
@@ -197,8 +252,9 @@ def fpga_total_cfp(
     """
     if fpga.kind is not ChipKind.FPGA:
         raise ValueError(f"{fpga.name}: expected an FPGA spec")
-    runs = _runs(apps, [fpga] * len(apps), ChipKind.FPGA)
-    return _Kernel(runs, fpga, params, horizon).at(math.inf)
+    terms = {fpga: ChipTerms(fpga, params)}
+    runs = _runs(apps, [fpga] * len(apps), ChipKind.FPGA, params, terms)
+    return CfpBreakdown.of(run_totals(runs, terms[fpga], _hours(horizon)))
 
 
 def cumulative_timeline(
@@ -221,11 +277,13 @@ def cumulative_timeline(
     chip_list = [chips] * len(apps) if isinstance(chips, ChipSpec) else chips
     if len(chip_list) != len(apps):
         raise ValueError("need exactly one chip spec per application")
-    runs = _runs(apps, chip_list, kind)
-    fpga = chip_list[0] if kind is ChipKind.FPGA and chip_list else None
-    kernel = _Kernel(runs, fpga, params, horizon)
+    fleet = None
+    terms: dict[ChipSpec, ChipTerms] = {}
+    if kind is ChipKind.FPGA and chip_list:
+        fleet = terms[chip_list[0]] = ChipTerms(chip_list[0], params)
+    kernel = _Kernel(_runs(apps, chip_list, kind, params, terms), fleet, horizon.value)
 
     grid = [k * step.value for k in range(math.floor(horizon.value / step.value) + 1)]
     if not grid or grid[-1] < horizon.value:
         grid.append(horizon.value)
-    return [TimelinePoint(Duration.hours(t), kernel.at(t)) for t in grid]
+    return [TimelinePoint(Duration.hours(t), CfpBreakdown.of(kernel.at(t))) for t in grid]

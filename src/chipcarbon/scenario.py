@@ -15,7 +15,7 @@ from typing import Sequence
 from .breakdown import CfpBreakdown
 from .chips import ChipKind, ChipSpec, Run
 from .errors import ConsistencyError
-from .lifecycle import asic_total_cfp, fpga_total_cfp
+from .lifecycle import ChipTerms, asic_total_cfp, fpga_total_cfp, run_totals
 from .params import ParameterSet
 from .quantities import Duration
 from .store import DomainTestcase, TestcaseLibrary
@@ -134,18 +134,40 @@ class RatioGrid:
         return crossings
 
 
+# A scenario in plain values: [apps, lifetime h, volume, size in gates, duty, horizon h]
+_FIELD = {SweepVariable.NUM_APPS: 0, SweepVariable.APP_LIFETIME: 1,
+          SweepVariable.APP_VOLUME: 2, SweepVariable.HORIZON: 5}
+
+
+def _sample(scenario: Scenario, library: TestcaseLibrary) -> list:
+    """The scenario in plain values, checked as its schedule and horizon are built."""
+    [run] = scenario.schedule(library.domain(scenario.domain))
+    horizon = scenario.horizon_years
+    return [run.count, run.lifetime.value, run.volume, run.size_gates, run.duty_cycle,
+            None if horizon is None else Duration.from_years(horizon).value]
+
+
+def _totals(sample: Sequence, fpga: ChipTerms,
+            asic: ChipTerms) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both platforms' component kg of one plain sample, as (FPGA, ASIC)."""
+    n_app, lifetime_h, volume, size, duty, horizon_h = sample
+    return (run_totals([(n_app, lifetime_h, volume, size, duty, fpga)], fpga, horizon_h),
+            run_totals([(n_app, lifetime_h, volume, size, duty, asic)], None, horizon_h))
+
+
+def _terms(domain: str, params: ParameterSet, library: TestcaseLibrary) -> tuple[ChipTerms, ...]:
+    """The (FPGA, ASIC) terms of a domain, built once per query."""
+    testcase = library.domain(domain)
+    return ChipTerms(testcase.fpga, params), ChipTerms(testcase.asic, params)
+
+
 def evaluate_scenario(
     scenario: Scenario, params: ParameterSet, library: TestcaseLibrary
 ) -> tuple[CfpBreakdown, CfpBreakdown]:
     """Both platforms' totals for one scenario, as (FPGA, ASIC)."""
-    testcase = library.domain(scenario.domain)
-    schedule = scenario.schedule(testcase)
-    horizon = None
-    if scenario.horizon_years is not None:
-        horizon = Duration.from_years(scenario.horizon_years)
-    fpga = fpga_total_cfp(schedule, testcase.fpga, params, horizon)
-    asic = asic_total_cfp(schedule, testcase.asic, params, horizon)
-    return fpga, asic
+    sample = _sample(scenario, library)
+    fpga, asic = _totals(sample, *_terms(scenario.domain, params, library))
+    return CfpBreakdown.of(fpga), CfpBreakdown.of(asic)
 
 
 def estimate_platform(
@@ -174,12 +196,20 @@ def _apply(scenario: Scenario, variable: SweepVariable, value: float) -> Scenari
     return replace(scenario, horizon_years=float(value))
 
 
+def _axis(fixed: Scenario, variable: SweepVariable, values: Sequence[float],
+          library: TestcaseLibrary) -> list[list]:
+    """`fixed` at every axis value, in plain values; each value is checked once."""
+    return [_sample(_apply(fixed, variable, value), library) for value in values]
+
+
 def sweep(spec: SweepSpec, params: ParameterSet, library: TestcaseLibrary) -> list[SweepPoint]:
     """Evaluate both platforms at every sample of a one-dimensional sweep."""
+    samples = _axis(spec.fixed, spec.variable, spec.values, library)
+    terms = _terms(spec.fixed.domain, params, library)
     points = []
-    for value in spec.values:
-        fpga, asic = evaluate_scenario(_apply(spec.fixed, spec.variable, value), params, library)
-        points.append(SweepPoint(float(value), fpga, asic))
+    for value, sample in zip(spec.values, samples):
+        fpga, asic = _totals(sample, *terms)
+        points.append(SweepPoint(float(value), CfpBreakdown.of(fpga), CfpBreakdown.of(asic)))
     return points
 
 
@@ -239,12 +269,20 @@ def heatmap(
         raise ValueError("heatmap axes must sweep distinct variables")
     SweepSpec(x_variable, tuple(x_values), fixed)  # reuse range validation
     SweepSpec(y_variable, tuple(y_values), fixed)
+    # checked in the order a cell-by-cell build meets them (the first y, every x, the
+    # other ys), so the first invalid sample is the one reported
+    ys = _axis(fixed, y_variable, y_values[:1], library)
+    xs = _axis(fixed, x_variable, x_values, library)
+    ys += _axis(fixed, y_variable, y_values[1:], library)
+    terms = _terms(fixed.domain, params, library)
+    ix_field = _FIELD[x_variable]
     rows = []
-    for y in y_values:
+    for y, sample in zip(y_values, ys):
+        sample = list(sample)
         row = []
-        for x in x_values:
-            scenario = _apply(_apply(fixed, y_variable, y), x_variable, x)
-            fpga, asic = (b.total.value for b in evaluate_scenario(scenario, params, library))
+        for x, x_sample in zip(x_values, xs):
+            sample[ix_field] = x_sample[ix_field]
+            fpga, asic = (sum(b) for b in _totals(sample, *terms))  # as CfpBreakdown.total
             if asic <= 0.0 or not math.isfinite(fpga / asic):
                 raise ConsistencyError(
                     f"non-finite or non-positive ratio at ({x_variable.value}={x}, "

@@ -10,6 +10,7 @@ without being outright invalid.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, IO, Mapping
@@ -75,9 +76,15 @@ class Finding:
     message: str
 
 
-def _read_bundled(name: str) -> dict:
+@functools.cache
+def _parse_bundled(name: str) -> dict:
     text = resources.files("chipcarbon.data").joinpath(name).read_text(encoding="utf-8")
     return yaml.safe_load(text)
+
+
+def _read_bundled(name: str) -> dict:
+    """A bundled document, parsed once per process; each caller gets its own copy."""
+    return copy.deepcopy(_parse_bundled(name))
 
 
 def _as_number(value: Any, path: str) -> float:
@@ -364,8 +371,6 @@ def validate(params: ParameterSet) -> list[Finding]:
                 "error", path,
                 f"carbon intensity {value:g} g/kWh exceeds the {_INTENSITY_CEILING_G_PER_KWH:g} "
                 f"g/kWh plausibility ceiling"))
-        elif path.split(".")[-1] == "grid_intensity_g_per_kwh" and not 30.0 <= value <= 700.0:
-            pass  # already covered by the published-range warning above
         elif path.startswith(("operation.", "appdev.")) and not 30.0 <= value <= 700.0:
             findings.append(Finding(
                 "warning", path,

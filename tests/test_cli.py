@@ -160,6 +160,42 @@ class TestNonFiniteFlags:
         assert proc.stdout == b""
 
 
+class TestAppsFlag:
+    @pytest.mark.parametrize("args", [
+        ("estimate", "--testcase", "IndustryASIC1", "--apps", "0"),
+        ("estimate", "--testcase", "IndustryFPGA1", "--apps", "-1"),
+        ("compare", "--domain", "DNN", "--apps", "0"),
+        ("sweep", "--domain", "DNN", "--sweep", "AppLifetime", "--apps", "0"),
+        ("heatmap", "--domain", "DNN", "--sweep", "AppVolume", "--sweep", "AppLifetime",
+         "--apps", "-3"),
+    ])
+    def test_rejected_at_the_flag(self, args):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [f"error: --apps must be >= 1, got {args[-1]}"]
+        assert proc.stdout == b""
+
+
+class TestVolumeFlag:
+    def test_rounds_as_the_sweep_sample_at_the_same_value(self):
+        cmp = json.loads(run_cli("compare", "--domain", "DNN", "--volume", "999999.9",
+                                 "--format", "record").stdout)
+        swp = json.loads(run_cli("sweep", "--domain", "DNN",
+                                 "--sweep", "AppVolume:999999.9:999999.9:1",
+                                 "--format", "record").stdout)
+        [point] = swp["results"]["points"]
+        assert cmp["inputs"]["volume"] == point["value"] == 1_000_000
+        assert (cmp["results"]["fpga"], cmp["results"]["asic"]) == (point["fpga"], point["asic"])
+
+    def test_zero_volume_prints_no_negative_zero(self):
+        # no devices times the negative EOL credit is -0.0, which printed as "-0"
+        table = run_cli("compare", "--domain", "DNN", "--volume", "0").stdout.decode()
+        assert "-0" not in [row.split(",")[2] for row in table.splitlines()]
+        record = run_cli("compare", "--domain", "DNN", "--volume", "0",
+                         "--format", "record").stdout.decode()
+        assert "-0.0" not in record
+
+
 class TestCostIndependentOfAppCount:
     def test_billion_year_timeline_returns(self):
         proc = subprocess.run([sys.executable, "-m", "chipcarbon", "timeline", "--domain", "DNN",

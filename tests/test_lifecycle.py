@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chipcarbon.breakdown import COMPONENTS
 from chipcarbon.chips import ApplicationProfile, ChipKind, Run
 from chipcarbon.embodied import design_cfp, unit_embodied_cfp
 from chipcarbon.lifecycle import (
@@ -329,6 +330,42 @@ class TestKernelAgainstOracle:
             assert [p.time.value for p in rows] == [t for t, _ in expected]
             for point, (_, booked) in zip(rows, expected):
                 _assert_matches_oracle(point.cumulative, booked)
+
+
+class TestChipTerms:
+    @pytest.mark.parametrize("option", range(3), ids=["default", "reprogramming", "literal"])
+    def test_one_application_is_bitwise_the_unit_functions(self, library, option):
+        from chipcarbon.deployment import deployment_cfp
+        from chipcarbon.embodied import eol_cfp, manufacturing_cfp, packaging_cfp
+
+        params = PARAM_SETS[option]
+        for domain in ("DNN", "ImgProc", "Crypto"):
+            tc = library.domain(domain)
+            for chip, total in ((tc.asic, asic_total_cfp), (tc.fpga, fpga_total_cfp)):
+                # many volumes: a change of operation order moves about one result in 100
+                for volume in [1, 977, 10**6] + random.Random(domain).sample(range(10**7), 100):
+                    duty = (None, 0.37, 1.0)[volume % 3]
+                    [app] = _apps(1, years=1.7, volume=volume, size=tc.default_app_size_gates,
+                                  duty=duty)
+                    devices = volume * (1 if chip is tc.asic
+                                        else n_fpga_required(app.size_gates, chip.gates))
+                    rate, one_time = deployment_cfp(chip, app, params.operation, params.appdev,
+                                                    devices // volume)
+                    if params.options.appdev_scaling == "literal":
+                        one_time = one_time * app.lifetime.to_years()
+                    expected = (design_cfp(params.design, chip.gates).value,
+                                manufacturing_cfp(chip, params).value * devices,
+                                packaging_cfp(chip).value * devices,
+                                eol_cfp(chip, params.eol).value * devices, one_time.value,
+                                rate.value * app.lifetime.value / HOURS_PER_YEAR)
+                    got = total([app], chip, params).as_dict()
+                    assert [got[c].hex() for c in COMPONENTS] == [x.hex() for x in expected]
+
+    def test_zero_volume_books_no_negative_zero(self, params, library):
+        tc = library.domain("DNN")
+        [app] = _apps(1, volume=0, size=tc.default_app_size_gates)
+        for total, chip in ((asic_total_cfp, tc.asic), (fpga_total_cfp, tc.fpga)):
+            assert math.copysign(1.0, total([app], chip, params).eol.value) == 1.0
 
 
 class TestClosedFormKernel:

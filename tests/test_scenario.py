@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
+from chipcarbon import embodied, lifecycle
+from chipcarbon.breakdown import COMPONENTS
 from chipcarbon.scenario import (
     Scenario,
     SweepSpec,
@@ -13,6 +16,8 @@ from chipcarbon.scenario import (
     heatmap,
     sweep,
 )
+
+from conftest import params_with
 
 CENTER = dict(n_app=5, lifetime_years=2.0, volume=1_000_000)
 
@@ -216,3 +221,107 @@ class TestEstimatePlatform:
         b = estimate_platform(library.industry("IndustryASIC2"), 1, 6.0, 1_000_000, params)
         d = b.as_dict()
         assert d["operational"] > d["manufacturing"] > d["design"]
+
+
+def _bits(b):
+    return [getattr(b, c).value.hex() for c in COMPONENTS]
+
+
+SHARED_PARAMS = {
+    "default": "",
+    "replacement_reprogramming": "options:\n  replacement_reprogramming: true\n",
+    "literal": "options:\n  appdev_scaling: literal\n",
+}
+AXES = {
+    SweepVariable.NUM_APPS: [1.0, 3.0, 6.0, 40.0],
+    SweepVariable.APP_LIFETIME: [0.3, 1.032, 2.0, 3.5],
+    SweepVariable.APP_VOLUME: [0.0, 1e3, 4.2e5, 1e7],
+    SweepVariable.HORIZON: [0.5, 7.0, 12.384, 90.0],
+}
+
+
+class TestSharedEvaluationPath:
+    """Sweeps and heatmaps share the coefficients of one query and `evaluate_scenario`'s path."""
+
+    @pytest.mark.parametrize("option", sorted(SHARED_PARAMS))
+    @pytest.mark.parametrize("horizon", [None, 9.0])
+    @pytest.mark.parametrize("variable", list(AXES), ids=lambda v: v.value)
+    def test_sweep_samples_are_bitwise_evaluate_scenario(self, library, option, horizon,
+                                                         variable):
+        params = params_with(SHARED_PARAMS[option])
+        fixed = Scenario("ImgProc", n_app=7, lifetime_years=1.5, volume=30_000,
+                         horizon_years=horizon)
+        for pt in sweep(SweepSpec(variable, tuple(AXES[variable]), fixed), params, library):
+            scenario = _axis_value(fixed, variable, pt.value)
+            fpga, asic = evaluate_scenario(scenario, params, library)
+            assert (_bits(pt.fpga), _bits(pt.asic)) == (_bits(fpga), _bits(asic))
+
+    @pytest.mark.parametrize("option", sorted(SHARED_PARAMS))
+    @pytest.mark.parametrize("horizon", [None, 9.0])
+    @pytest.mark.parametrize("x, y", [
+        (SweepVariable.APP_VOLUME, SweepVariable.NUM_APPS),
+        (SweepVariable.HORIZON, SweepVariable.APP_LIFETIME),
+        (SweepVariable.NUM_APPS, SweepVariable.HORIZON),
+    ], ids=lambda v: v.value)
+    def test_heatmap_cells_are_bitwise_evaluate_scenario(self, library, option, horizon, x, y):
+        params = params_with(SHARED_PARAMS[option])
+        fixed = Scenario("DNN", n_app=5, lifetime_years=2.0, volume=1_000_000,
+                         horizon_years=horizon)
+        grid = heatmap(x, AXES[x], y, AXES[y], fixed, params, library)
+        for iy, yv in enumerate(AXES[y]):
+            for ix, xv in enumerate(AXES[x]):
+                scenario = _axis_value(_axis_value(fixed, y, yv), x, xv)
+                fpga, asic = evaluate_scenario(scenario, params, library)
+                assert grid.cells[iy][ix].hex() == (fpga.total.value / asic.total.value).hex()
+
+    def test_unit_terms_are_built_once_per_query(self, params, library, monkeypatch):
+        calls = []
+        for name in ("design_cfp", "manufacturing_cfp", "materials_cfp", "packaging_cfp",
+                     "eol_cfp"):
+            def counted(*args, _fn=getattr(embodied, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            for module in (embodied, lifecycle):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+
+        def count(n):
+            calls.clear()
+            heatmap(SweepVariable.APP_VOLUME, [1e3 * 2 ** i for i in range(n)],
+                    SweepVariable.NUM_APPS, [float(k) for k in range(1, n + 1)],
+                    Scenario("DNN", **CENTER), params, library)
+            return len(calls)
+
+        assert count(2) == count(20) > 0
+
+    @pytest.mark.parametrize("variable, bad, message", [
+        (SweepVariable.APP_LIFETIME, -1.0, "lifetime_years must be positive"),
+        (SweepVariable.APP_LIFETIME, math.inf, "years must be finite"),
+        (SweepVariable.APP_VOLUME, -5.0, "volume must be >= 0"),
+        (SweepVariable.HORIZON, -2.0, "years must be non-negative"),
+    ])
+    def test_invalid_sample_fails_with_the_scenario_message(self, params, library, variable,
+                                                            bad, message):
+        fixed = Scenario("DNN", **CENTER)
+        with pytest.raises(ValueError, match=message):
+            evaluate_scenario(_axis_value(fixed, variable, bad), params, library)
+        values = (bad, 1e9) if bad < 0 else (1.0, bad)
+        with pytest.raises(ValueError, match=message):
+            sweep(SweepSpec(variable, values, fixed), params, library)
+        other = SweepVariable.NUM_APPS
+        for x, y in ((variable, other), (other, variable)):
+            xs = values if x is variable else (1.0, 2.0)
+            ys = values if y is variable else (1.0, 2.0)
+            with pytest.raises(ValueError, match=message):
+                heatmap(x, xs, y, ys, fixed, params, library)
+
+
+def _axis_value(scenario, variable, value):
+    """`scenario` with one sweep variable set, the way a sweep sample sets it."""
+    field, convert = {
+        SweepVariable.NUM_APPS: ("n_app", int),
+        SweepVariable.APP_LIFETIME: ("lifetime_years", float),
+        SweepVariable.APP_VOLUME: ("volume", lambda v: int(round(v))),
+        SweepVariable.HORIZON: ("horizon_years", float),
+    }[variable]
+    return dataclasses.replace(scenario, **{field: convert(value)})

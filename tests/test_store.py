@@ -80,6 +80,17 @@ nodes:
 """)
         assert p.nodes[5].yield_fraction == 0.75
 
+    def test_node_override_does_not_leak_into_later_loads(self, params, tmp_path):
+        from chipcarbon.store import _NODE_KEYS, _read_bundled
+
+        doc = tmp_path / "nodes.yaml"
+        doc.write_text("nodes:\n  7:\n    yield: 0.5\n  5:\n"
+                       + "".join(f"    {key}: 0.1\n" for key in _NODE_KEYS))
+        custom = load_parameters(str(doc))
+        assert custom.nodes[7].yield_fraction == 0.5 and 5 in custom.nodes
+        _read_bundled("tech_nodes.yaml")["nodes"].clear()  # each caller owns its copy
+        assert load_parameters() == params
+
     def test_boolean_not_accepted_as_number(self):
         with pytest.raises(ParameterError, match="duty_cycle"):
             params_with("operation:\n  duty_cycle: true\n")
