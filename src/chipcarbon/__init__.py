@@ -1,7 +1,7 @@
 """Lifecycle carbon-footprint models for FPGA and ASIC accelerators."""
 
 from .breakdown import CfpBreakdown
-from .chips import ApplicationProfile, ChipKind, ChipSpec, Domain, Run
+from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
 from .deployment import app_dev_cfp, app_dev_time, deployment_cfp, operational_cfp_per_year
 from .embodied import (
     design_cfp,
@@ -38,7 +38,6 @@ from .quantities import (
     Energy,
     Power,
     energy_to_carbon,
-    years_to_hours,
 )
 from .scenario import (
     BreakdownReport,

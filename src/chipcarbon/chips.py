@@ -14,13 +14,6 @@ class ChipKind(enum.Enum):
     FPGA = "FPGA"
 
 
-class Domain(enum.Enum):
-    DNN = "DNN"
-    IMGPROC = "ImgProc"
-    CRYPTO = "Crypto"
-    CUSTOM = "Custom"
-
-
 @dataclass(frozen=True)
 class ChipSpec:
     """One silicon platform.
@@ -74,7 +67,6 @@ class ApplicationProfile:
     lifetime: Duration
     volume: int
     duty_cycle: float | None = None
-    domain: Domain = Domain.CUSTOM
 
     def __post_init__(self) -> None:
         _check_workload(self.name, self.size_gates, self.lifetime, self.volume, self.duty_cycle)

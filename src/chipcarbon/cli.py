@@ -24,7 +24,7 @@ import click
 from . import __version__
 from .breakdown import COMPONENTS, CfpBreakdown
 from .errors import ConsistencyError, ParameterError
-from .quantities import Duration, Power
+from .quantities import HOURS_PER_YEAR, Duration, Power
 from .scenario import (
     Scenario,
     SweepSpec,
@@ -106,20 +106,52 @@ def _parse_sweep(text: str) -> tuple[SweepVariable, tuple[float, ...]]:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ParameterError(f"bad sweep range {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, stop - start))):
+        raise ParameterError(
+            f"--sweep START, STOP and their difference must be finite, got {text!r}")
     if steps < 1:
         raise ParameterError("sweep STEPS must be >= 1")
-    if steps == 1:
-        values = [start]
-    elif len(parts) == 5:
+    log = steps > 1 and len(parts) == 5
+    lo, hi = start, stop
+    if log:
         if start <= 0 or stop <= 0:
             raise ParameterError("log-spaced sweeps need positive bounds")
-        la, lb = math.log10(start), math.log10(stop)
-        values = [10 ** (la + i * (lb - la) / (steps - 1)) for i in range(steps)]
-    else:
-        values = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+        lo, hi = math.log10(start), math.log10(stop)
+
+    def sample(i: int) -> float:  # monotone in i, as `_distinct_rounded` needs
+        if steps == 1:
+            return start
+        x = lo + i * (hi - lo) / (steps - 1)
+        return 10 ** x if log else x
     if variable in (SweepVariable.NUM_APPS, SweepVariable.APP_VOLUME):
-        values = sorted({float(int(round(v))) for v in values})
-    return variable, tuple(values)
+        return variable, tuple(sorted(float(n) for n in _distinct_rounded(sample, steps)))
+    return variable, tuple(map(sample, range(steps)))
+
+
+def _distinct_rounded(sample, steps: int) -> list[int]:
+    """The distinct values of round(sample(i)) over range(steps), for a monotone `sample`.
+
+    Equal rounded values then sit at consecutive indices, so each one costs a
+    galloping search for the end of its run: the work grows with the number of
+    distinct values (times a log), not with `steps`.
+    """
+    found, i = [], 0
+    while i < steps:
+        value = round(sample(i))
+        found.append(value)
+        same, jump = i, 1  # round(sample(same)) == value; find the first index past the run
+        while same + jump < steps and round(sample(same + jump)) == value:
+            same += jump
+            jump *= 2
+        past = min(same + jump, steps)
+        while past - same > 1:
+            mid = (same + past) // 2
+            if round(sample(mid)) == value:
+                same = mid
+            else:
+                past = mid
+        i = past
+    return found
 
 
 def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
@@ -129,16 +161,23 @@ def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> 
     return value
 
 
+def _at_least(low: float, strict: bool = False):
+    """Option callback refusing, at its flag, a number below `low` (or equal, if strict)."""
+    def check(ctx: click.Context, param: click.Parameter, value):
+        _finite(ctx, param, value)
+        if value is not None and (value <= low if strict else value < low):
+            raise ParameterError(
+                f"{param.opts[0]} must be {'>' if strict else '>='} {low:g}, got {value}")
+        return value
+    return check
+
+
+_positive, _non_negative = _at_least(0, strict=True), _at_least(0)
+
+
 def _units(ctx: click.Context, param: click.Parameter, value: float) -> int:
-    """Option callback: a finite volume, rounded to whole units as sweep samples are."""
-    return int(round(_finite(ctx, param, value)))
-
-
-def _app_count(ctx: click.Context, param: click.Parameter, value: int) -> int:
-    """Option callback: every schedule runs at least one application."""
-    if value < 1:
-        raise ParameterError(f"{param.opts[0]} must be >= 1, got {value}")
-    return value
+    """Option callback: a volume >= 0, rounded to whole units as sweep samples are."""
+    return int(round(_non_negative(ctx, param, value)))
 
 
 @click.group()
@@ -155,12 +194,13 @@ def cli(ctx: click.Context, params_path: str | None) -> None:
 
 _scenario_options = [
     click.option("--apps", "n_app", default=1, show_default=True, type=int,
-                 callback=_app_count, help="Number of sequential applications."),
+                 callback=_at_least(1), help="Number of sequential applications."),
     click.option("--lifetime", "lifetime_years", default=2.0, show_default=True, type=float,
-                 callback=_finite, help="Lifetime of each application, years."),
+                 callback=_positive, help="Lifetime of each application, years."),
     click.option("--volume", default=1e6, show_default=True, type=float, callback=_units,
                  help="Deployed units per application (rounded to a whole number)."),
-    click.option("--horizon", "horizon_years", default=None, type=float, callback=_finite,
+    click.option("--horizon", "horizon_years", default=None, type=float,
+                 callback=_non_negative,
                  help="Evaluation horizon in years; enables fleet replacement."),
 ]
 
@@ -253,18 +293,44 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
     _emit(text, out)
 
 
-def _pair_table(x_name: str, points) -> str:
-    """CSV of (x, FPGA breakdown, ASIC breakdown) rows: both totals, then components."""
+def _kg(b: CfpBreakdown) -> list[float]:
+    return [getattr(b, c).value for c in COMPONENTS]
+
+
+def _total(kg) -> float:
+    """The total of one output row's kg (in `COMPONENTS` order), checked once.
+
+    An inf or nan component makes the sum non-finite; the error then names the
+    first bad value, as building the row's `CfpBreakdown` would. A sum that
+    differs from the correctly rounded one is an internal inconsistency.
+    """
+    total = sum(kg)
+    if not math.isfinite(total):
+        bad = next((x for x in kg if not math.isfinite(x)), total)
+        raise ValueError(f"CarbonMass must be finite, got {bad!r}")
+    exact = math.fsum(kg)
+    if not math.isclose(total, exact, rel_tol=1e-9, abs_tol=1e-12):
+        raise ConsistencyError(
+            f"breakdown closure violated: total={total!r} components sum={exact!r}")
+    return total
+
+
+def _kg_dict(kg) -> dict[str, float]:
+    """`CfpBreakdown.as_dict` of a row's kg."""
+    return {**dict(zip(COMPONENTS, kg)), "total": _total(kg)}
+
+
+# one row of `_pair_table`: x, both totals, both platforms' components
+_PAIR_ROW = ",".join(["{:.6g}"] * (3 + 2 * len(COMPONENTS))).format
+
+
+def _pair_table(x_name: str, rows) -> str:
+    """CSV of (x, FPGA kg, ASIC kg) float rows: both totals, then components."""
     header = ([x_name, "fpga_total", "asic_total"]
               + [f"fpga_{c}" for c in COMPONENTS] + [f"asic_{c}" for c in COMPONENTS])
-    rows = []
-    for x, fpga, asic in points:
-        fpga.check_closure()
-        asic.check_closure()
-        rows.append([_fmt(x), _fmt(fpga.total.value), _fmt(asic.total.value)]
-                    + [_fmt(getattr(fpga, c).value) for c in COMPONENTS]
-                    + [_fmt(getattr(asic, c).value) for c in COMPONENTS])
-    return _tabular(header, rows)
+    lines = [",".join(header)]
+    lines += [_PAIR_ROW(x, _total(fpga), _total(asic), *fpga, *asic) for x, fpga, asic in rows]
+    return "\n".join(lines) + "\n"
 
 
 @cli.command(name="sweep")
@@ -297,7 +363,7 @@ def sweep_cmd(params_path, domain, sweep_text, n_app, lifetime_years, volume,
         text = json.dumps(_record("sweep", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = _pair_table("value", ((pt.value, pt.fpga, pt.asic) for pt in points))
+        text = _pair_table("value", ((pt.value, _kg(pt.fpga), _kg(pt.asic)) for pt in points))
         text += "".join(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
                         f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
     _emit(text, out)
@@ -344,10 +410,10 @@ def heatmap_cmd(params_path, domain, sweep_texts, n_app, lifetime_years, volume,
 @cli.command(name="timeline")
 @click.option("--domain", required=True)
 @click.option("--lifetime", "lifetime_years", default=1.0, show_default=True, type=float,
-              callback=_finite, help="Lifetime of each application, years.")
-@click.option("--horizon", "horizon_years", required=True, type=float, callback=_finite)
+              callback=_positive, help="Lifetime of each application, years.")
+@click.option("--horizon", "horizon_years", required=True, type=float, callback=_non_negative)
 @click.option("--step", "step_years", default=0.5, show_default=True, type=float,
-              callback=_finite)
+              callback=_positive)
 @click.option("--volume", default=1e6, show_default=True, type=float, callback=_units)
 @_with(_output_options)
 @click.pass_obj
@@ -370,16 +436,14 @@ def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years,
     inputs = {"domain": domain, "lifetime_years": lifetime_years,
               "horizon_years": horizon_years, "step_years": step_years,
               "volume": volume, "apps": n_app}
+    rows = [(f.hours / HOURS_PER_YEAR, f.kg, a.kg) for f, a in zip(fpga_tl, asic_tl)]
     if fmt == "record":
-        results = {"points": [
-            {"t_years": f.time.to_years(), "fpga": f.cumulative.as_dict(),
-             "asic": a.cumulative.as_dict()}
-            for f, a in zip(fpga_tl, asic_tl)]}
+        results = {"points": [{"t_years": t, "fpga": _kg_dict(fpga), "asic": _kg_dict(asic)}
+                              for t, fpga, asic in rows]}
         text = json.dumps(_record("timeline", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = _pair_table("t_years", ((f.time.to_years(), f.cumulative, a.cumulative)
-                                       for f, a in zip(fpga_tl, asic_tl)))
+        text = _pair_table("t_years", rows)
     _emit(text, out)
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .breakdown import CfpBreakdown
 from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
@@ -44,10 +43,24 @@ def n_fpga_required(app_size_gates: int, fpga_capacity_gates: int) -> int:
     return -(-app_size_gates // fpga_capacity_gates)
 
 
-@dataclass(frozen=True)
-class TimelinePoint:
-    time: Duration
-    cumulative: CfpBreakdown
+class TimelinePoint(NamedTuple):
+    """One timeline row in plain floats.
+
+    `hours` is the time since t=0 and `kg` the carbon booked by then, per
+    component in `COMPONENTS` order. Neither is validated; `time` and
+    `cumulative` build the validated unit types on access.
+    """
+
+    hours: float
+    kg: tuple[float, ...]
+
+    @property
+    def time(self) -> Duration:
+        return Duration.hours(self.hours)
+
+    @property
+    def cumulative(self) -> CfpBreakdown:
+        return CfpBreakdown.of(self.kg)
 
 
 def _last(origin: float, period: float, limit: float, strict: bool = False) -> float:
@@ -265,7 +278,7 @@ def cumulative_timeline(
     horizon: Duration,
     step: Duration,
 ) -> list[TimelinePoint]:
-    """Cumulative carbon sampled on a regular grid from t=0 to the horizon.
+    """Cumulative carbon sampled on a regular grid from t=0 to the horizon, as float rows.
 
     Operation and development accrue continuously while an application runs;
     embodied carbon books as steps, at application starts for ASICs and at
@@ -286,4 +299,4 @@ def cumulative_timeline(
     grid = [k * step.value for k in range(math.floor(horizon.value / step.value) + 1)]
     if not grid or grid[-1] < horizon.value:
         grid.append(horizon.value)
-    return [TimelinePoint(Duration.hours(t), CfpBreakdown.of(kernel.at(t))) for t in grid]
+    return [TimelinePoint(t, kernel.at(t)) for t in grid]

@@ -162,8 +162,3 @@ class Duration:
 def energy_to_carbon(energy: Energy, intensity: CarbonIntensity) -> CarbonMass:
     """Emissions from consuming `energy` on a grid with the given intensity."""
     return CarbonMass(energy.value * intensity.value)
-
-
-def years_to_hours(years: float) -> Duration:
-    """Convert calendar years to a Duration; negative input is rejected."""
-    return Duration.from_years(years)

@@ -1,6 +1,6 @@
 import pytest
 
-from chipcarbon.chips import ApplicationProfile, ChipKind, ChipSpec, Domain
+from chipcarbon.chips import ApplicationProfile, ChipKind, ChipSpec
 from chipcarbon.params import PackageParams
 from chipcarbon.quantities import CarbonMass, Duration, Power
 
@@ -58,6 +58,3 @@ class TestApplicationProfileInvariants:
         assert self._app(duty_cycle=None).duty_cycle is None
         with pytest.raises(ValueError, match="duty_cycle"):
             self._app(duty_cycle=1.2)
-
-    def test_domain_default(self):
-        assert self._app().domain is Domain.CUSTOM

@@ -1,10 +1,21 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from chipcarbon import quantities
+from chipcarbon.breakdown import COMPONENTS
+from chipcarbon.chips import ChipKind
+from chipcarbon.cli import _parse_sweep, main
+from chipcarbon.lifecycle import _Kernel, cumulative_timeline
+from chipcarbon.quantities import HOURS_PER_YEAR, Duration
+from chipcarbon.scenario import Scenario
 
 from cli_env import cli_env
+from conftest import params_with
 
 
 def run_cli(*args, check=True):
@@ -229,3 +240,186 @@ class TestInProcessMain:
             del out, err
         gc.collect()
         assert [r() for r in refs] == [None] * len(refs)
+
+
+def run_main(capsys, *args):
+    """`main` in this process: (exit code, stdout, stderr)."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# every subcommand, with the flags it needs to run
+SUBCOMMANDS = {
+    "estimate": ("estimate", "--testcase", "IndustryFPGA1"),
+    "compare": ("compare", "--domain", "DNN"),
+    "sweep": ("sweep", "--domain", "DNN", "--sweep", "NumApps:1:3:3"),
+    "heatmap": ("heatmap", "--domain", "DNN", "--sweep", "NumApps:1:2:2",
+                "--sweep", "AppLifetime:1:2:2"),
+    "timeline": ("timeline", "--domain", "DNN"),
+}
+BAD_FLAG_VALUES = [
+    *((cmd, "--volume", v, ">= 0") for cmd in SUBCOMMANDS for v in ("-1", "-0.4")),
+    *((cmd, "--lifetime", v, "> 0") for cmd in SUBCOMMANDS for v in ("0", "-1")),
+    *((cmd, "--horizon", "-1", ">= 0") for cmd in SUBCOMMANDS),
+    *(("timeline", "--step", v, "> 0") for v in ("0", "-1")),
+]
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize("command, flag, value, bound", BAD_FLAG_VALUES)
+    def test_rejected_at_the_flag(self, capsys, command, flag, value, bound):
+        args = SUBCOMMANDS[command] + (flag, value)
+        if command == "timeline" and flag != "--horizon":
+            args += ("--horizon", "10")
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {flag} must be {bound}, got {float(value)}"]
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_bounds_themselves_are_accepted(self, capsys, command):
+        args = SUBCOMMANDS[command] + ("--volume", "0", "--horizon", "0")
+        code, out, err = run_main(capsys, *args)
+        assert (code, err) == (0, ""), err
+
+
+def _old_integer_samples(start, stop, steps, log):
+    """The integer axes' samples as `_parse_sweep` built them: all STEPS, then distinct."""
+    if steps == 1:
+        values = [start]
+    elif log:
+        la, lb = math.log10(start), math.log10(stop)
+        values = [10 ** (la + i * (lb - la) / (steps - 1)) for i in range(steps)]
+    else:
+        values = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+    return tuple(sorted({float(int(round(v))) for v in values}))
+
+
+class TestSweepRange:
+    @pytest.mark.parametrize("spec", [
+        "AppVolume:1:inf:3", "Horizon:1:1e400:3", "AppLifetime:nan:2:3",
+        "NumApps:-inf:8:8", "AppVolume:1e3:nan:5:log", "NumApps:-1e308:1e308:3",
+    ])
+    def test_non_finite_bounds_name_the_flag(self, capsys, spec):
+        code, out, err = run_main(capsys, "sweep", "--domain", "DNN", "--sweep", spec)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: --sweep START, STOP and their difference must be finite, got {spec!r}"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_axes_equal_the_full_formula(self, data):
+        log = data.draw(st.booleans())
+        magnitude = st.floats(1e-3, 1e7) if log else st.floats(-1e3, 1e7)
+        start = data.draw(magnitude)
+        stop = data.draw(st.one_of(magnitude, st.floats(0.0, 50.0).map(lambda d: start + d)))
+        if log and stop <= 0:
+            stop = start
+        steps = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 100_000)))
+        spec = f"AppVolume:{start!r}:{stop!r}:{steps}" + (":log" if log else "")
+        assert _parse_sweep(spec)[1] == _old_integer_samples(start, stop, steps, log)
+        assert _parse_sweep("NumApps" + spec[len("AppVolume"):])[1] == _parse_sweep(spec)[1]
+
+    def test_huge_step_count_costs_its_distinct_samples(self):
+        # in a child with a capped address space, so a regression fails fast
+        # instead of allocating 1e11 samples on the host
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                "from chipcarbon.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, "sweep", "--domain", "DNN",
+                               "--sweep", "NumApps:1:8:100000000000"],
+                              capture_output=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        eight = run_cli("sweep", "--domain", "DNN", "--sweep", "NumApps:1:8:8").stdout
+        assert proc.stdout == eight
+
+
+TIMELINE_PARAMS = {
+    "default": "",
+    "reprogramming": "options:\n  replacement_reprogramming: true\n",
+    "literal": "options:\n  appdev_scaling: literal\n",
+}
+
+
+class TestTimelineRows:
+    """`timeline` prints the rows `cumulative_timeline` returns, from plain floats."""
+
+    ARGS = ("--domain", "ImgProc", "--lifetime", "1", "--horizon", "45", "--step", "0.5",
+            "--volume", "58238")
+
+    def _api_rows(self, params, library):
+        tc = library.domain("ImgProc")
+        schedule = Scenario("ImgProc", n_app=45, lifetime_years=1.0, volume=58238,
+                            horizon_years=45.0).schedule(tc)
+        horizon, step = Duration.from_years(45.0), Duration.from_years(0.5)
+        return [cumulative_timeline(kind, schedule, chip, params, horizon, step)
+                for kind, chip in ((ChipKind.FPGA, tc.fpga), (ChipKind.ASIC, tc.asic))]
+
+    @pytest.mark.parametrize("option", sorted(TIMELINE_PARAMS))
+    def test_rows_equal_the_api(self, capsys, tmp_path, library, option):
+        doc = tmp_path / "params.yaml"
+        doc.write_text(TIMELINE_PARAMS[option] or "{}\n")
+        fpga_tl, asic_tl = self._api_rows(params_with(TIMELINE_PARAMS[option]), library)
+        assert len(fpga_tl) == len(asic_tl) == 91
+
+        code, out, err = run_main(capsys, "--params", str(doc), "timeline", *self.ARGS,
+                                  "--format", "record")
+        assert (code, err) == (0, "")
+        points = json.loads(out)["results"]["points"]
+        assert len(points) == len(fpga_tl)
+        for point, f, a in zip(points, fpga_tl, asic_tl):
+            assert point["t_years"].hex() == (f.hours / HOURS_PER_YEAR).hex()
+            for platform, row in (("fpga", f), ("asic", a)):
+                expected = dict(zip(COMPONENTS, row.kg), total=sum(row.kg))
+                assert {k: v.hex() for k, v in point[platform].items()} == {
+                    k: v.hex() for k, v in expected.items()}
+
+        code, out, err = run_main(capsys, "--params", str(doc), "timeline", *self.ARGS)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()[1:]
+        assert lines == [",".join(f"{x:.6g}" for x in (
+            f.hours / HOURS_PER_YEAR, sum(f.kg), sum(a.kg), *f.kg, *a.kg))
+            for f, a in zip(fpga_tl, asic_tl)]
+
+    def test_carbon_masses_do_not_grow_with_rows(self, capsys, monkeypatch):
+        created = []
+        post_init = quantities.CarbonMass.__post_init__
+
+        def counted(self):
+            created.append(self)
+            post_init(self)
+        monkeypatch.setattr(quantities.CarbonMass, "__post_init__", counted)
+        counts = []
+        for step in ("0.5", "0.005"):
+            created.clear()
+            code, out, _ = run_main(capsys, "timeline", "--domain", "ImgProc", "--lifetime",
+                                    "1", "--horizon", "45", "--step", step)
+            assert code == 0 and len(out.splitlines()) > 90
+            counts.append(len(created))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("fmt", ["tabular", "record"])
+    @pytest.mark.parametrize("patch, message", [
+        ({1: math.inf, 5: math.nan}, "CarbonMass must be finite, got inf"),
+        ({4: math.nan}, "CarbonMass must be finite, got nan"),
+        ({0: 1e308, 1: 1e308}, "CarbonMass must be finite, got inf"),  # only the sum overflows
+    ])
+    def test_non_finite_row_fails_as_a_carbon_mass(self, capsys, monkeypatch, fmt, patch,
+                                                   message):
+        at = _Kernel.at
+
+        def broken(self, t):
+            kg = list(at(self, t))
+            if t >= 10 * HOURS_PER_YEAR:
+                for i, value in patch.items():
+                    kg[i] = value
+            return tuple(kg)
+        monkeypatch.setattr(_Kernel, "at", broken)
+        code, out, err = run_main(capsys, "timeline", "--domain", "DNN", "--horizon", "20",
+                                  "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]

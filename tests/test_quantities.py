@@ -10,7 +10,6 @@ from chipcarbon.quantities import (
     Energy,
     Power,
     energy_to_carbon,
-    years_to_hours,
 )
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
@@ -25,17 +24,17 @@ def test_energy_to_carbon_fixtures():
                         2.92e6, rel_tol=1e-9)
 
 
-def test_years_to_hours_fixtures():
-    assert years_to_hours(0.0).value == 0.0
-    assert years_to_hours(1.0).value == 8760.0
-    assert math.isclose(years_to_hours(2.5).value, 21900.0, rel_tol=1e-12)
+def test_duration_from_years_fixtures():
+    assert Duration.from_years(0.0).value == 0.0
+    assert Duration.from_years(1.0).value == 8760.0
+    assert math.isclose(Duration.from_years(2.5).value, 21900.0, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        years_to_hours(-1.0)
+        Duration.from_years(-1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False))
 def test_years_round_trip(years):
-    assert math.isclose(years_to_hours(years).to_years(), years,
+    assert math.isclose(Duration.from_years(years).to_years(), years,
                         rel_tol=1e-12, abs_tol=1e-12)
 
 
