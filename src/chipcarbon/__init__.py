@@ -40,14 +40,12 @@ from .quantities import (
     energy_to_carbon,
 )
 from .scenario import (
-    BreakdownReport,
     CrossoverPoint,
     RatioGrid,
     Scenario,
     SweepPoint,
     SweepSpec,
     SweepVariable,
-    breakdown_report,
     default_grid,
     estimate_platform,
     evaluate_scenario,

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ConsistencyError
 from .quantities import CarbonMass
 
 COMPONENTS = ("design", "manufacturing", "packaging", "eol", "app_dev", "operational")
@@ -26,11 +24,6 @@ class CfpBreakdown:
     eol: CarbonMass
     app_dev: CarbonMass
     operational: CarbonMass
-
-    @classmethod
-    def zero(cls) -> "CfpBreakdown":
-        z = CarbonMass.zero()
-        return cls(z, z, z, z, z, z)
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "CfpBreakdown":
@@ -53,24 +46,7 @@ class CfpBreakdown:
     def __add__(self, other: "CfpBreakdown") -> "CfpBreakdown":
         return CfpBreakdown(*(getattr(self, c) + getattr(other, c) for c in COMPONENTS))
 
-    def scaled(self, k: float) -> "CfpBreakdown":
-        return CfpBreakdown(*(getattr(self, c) * k for c in COMPONENTS))
-
     def as_dict(self) -> dict[str, float]:
         d = {c: getattr(self, c).value for c in COMPONENTS}
         d["total"] = self.total.value
         return d
-
-    def check_closure(self, rel_tol: float = 1e-9) -> None:
-        """Assert the derived total equals the component sum (paranoia hook).
-
-        The total is computed from the components, so this can only fire if a
-        component went non-finite; it exists so emitters can fail loudly with
-        a dedicated exit code instead of writing garbage.
-        """
-        component_sum = sum(getattr(self, c).value for c in COMPONENTS)
-        if not math.isclose(self.total.value, component_sum, rel_tol=rel_tol, abs_tol=1e-12):
-            raise ConsistencyError(
-                f"breakdown closure violated: total={self.total.value!r} "
-                f"components sum={component_sum!r}"
-            )

@@ -29,9 +29,9 @@ from .scenario import (
     Scenario,
     SweepSpec,
     SweepVariable,
-    breakdown_report,
     default_grid,
     estimate_platform,
+    evaluate_scenario,
     find_crossovers,
     heatmap,
     sweep,
@@ -83,10 +83,9 @@ def _tabular(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _breakdown_rows(label: str, b: CfpBreakdown) -> list[list[str]]:
-    b.check_closure()
-    rows = [[label, c, _fmt(getattr(b, c).value)] for c in COMPONENTS]
-    rows.append([label, "total", _fmt(b.total.value)])
+def _breakdown_rows(label: str, kg: list[float], rel_tol: float) -> list[list[str]]:
+    rows = [[label, c, _fmt(x)] for c, x in zip(COMPONENTS, kg)]
+    rows.append([label, "total", _fmt(_total(kg, rel_tol))])
     return rows
 
 
@@ -230,23 +229,23 @@ def estimate(params_path, testcase, n_app, lifetime_years, volume, horizon_years
     """Component breakdown for one named platform."""
     params, library = _load(params_path)
     chip = library.industry(testcase)
-    b = estimate_platform(chip, n_app, lifetime_years, volume, params, horizon_years)
-    b.check_closure(params.options.breakdown_rel_tol)
+    kg = _kg(estimate_platform(chip, n_app, lifetime_years, volume, params, horizon_years))
+    tol = params.options.breakdown_rel_tol
     inputs = {"testcase": testcase, "apps": n_app, "lifetime_years": lifetime_years,
               "volume": volume, "horizon_years": horizon_years}
     if fmt == "record":
-        text = json.dumps(_record("estimate", inputs, params, {"breakdown": b.as_dict()}),
+        text = json.dumps(_record("estimate", inputs, params, {"breakdown": _kg_dict(kg, tol)}),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = _tabular(["platform", "component", "kg_co2e"], _breakdown_rows(testcase, b))
+        text = _tabular(["platform", "component", "kg_co2e"], _breakdown_rows(testcase, kg, tol))
     _emit(text, out)
 
 
 @cli.command()
 @click.option("--domain", required=True, help="Workload domain (e.g. DNN, ImgProc, Crypto).")
-@click.option("--area-ratio", default=None, type=float, callback=_finite,
+@click.option("--area-ratio", default=None, type=float, callback=_positive,
               help="Custom FPGA:ASIC area ratio (with --power-ratio).")
-@click.option("--power-ratio", default=None, type=float, callback=_finite,
+@click.option("--power-ratio", default=None, type=float, callback=_positive,
               help="Custom FPGA:ASIC power ratio (with --area-ratio).")
 @_with(_scenario_options)
 @_with(_output_options)
@@ -266,11 +265,9 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
                                   industry_chips=library.industry_chips)
     scenario = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
                         volume=volume, horizon_years=horizon_years)
-    report = breakdown_report(scenario, params, library)
-    report.fpga.check_closure(params.options.breakdown_rel_tol)
-    report.asic.check_closure(params.options.breakdown_rel_tol)
-    fpga_total = report.fpga.total.value
-    asic_total = report.asic.total.value
+    fpga, asic = (_kg(b) for b in evaluate_scenario(scenario, params, library))
+    tol = params.options.breakdown_rel_tol
+    fpga_total, asic_total = _total(fpga, tol), _total(asic, tol)
     ratio = fpga_total / asic_total
     tie_tol = params.options.crossover_tie_rel_tol
     if abs(fpga_total - asic_total) <= tie_tol * max(abs(fpga_total), abs(asic_total), 1.0):
@@ -280,13 +277,13 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
     inputs = {"domain": domain, "apps": n_app, "lifetime_years": lifetime_years,
               "volume": volume, "horizon_years": horizon_years,
               "area_ratio": area_ratio, "power_ratio": power_ratio}
-    results = {"fpga": report.fpga.as_dict(), "asic": report.asic.as_dict(),
+    results = {"fpga": _kg_dict(fpga, tol), "asic": _kg_dict(asic, tol),
                "ratio": ratio, "verdict": verdict}
     if fmt == "record":
         text = json.dumps(_record("compare", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        rows = _breakdown_rows("FPGA", report.fpga) + _breakdown_rows("ASIC", report.asic)
+        rows = _breakdown_rows("FPGA", fpga, tol) + _breakdown_rows("ASIC", asic, tol)
         rows.append(["both", "ratio", _fmt(ratio)])
         rows.append(["both", "verdict", verdict])
         text = _tabular(["platform", "component", "value"], rows)
@@ -297,39 +294,41 @@ def _kg(b: CfpBreakdown) -> list[float]:
     return [getattr(b, c).value for c in COMPONENTS]
 
 
-def _total(kg) -> float:
+def _total(kg, rel_tol: float) -> float:
     """The total of one output row's kg (in `COMPONENTS` order), checked once.
 
     An inf or nan component makes the sum non-finite; the error then names the
     first bad value, as building the row's `CfpBreakdown` would. A sum that
-    differs from the correctly rounded one is an internal inconsistency.
+    differs from the correctly rounded one by more than `rel_tol`
+    (options.breakdown_rel_tol) is an internal inconsistency.
     """
     total = sum(kg)
     if not math.isfinite(total):
         bad = next((x for x in kg if not math.isfinite(x)), total)
         raise ValueError(f"CarbonMass must be finite, got {bad!r}")
     exact = math.fsum(kg)
-    if not math.isclose(total, exact, rel_tol=1e-9, abs_tol=1e-12):
+    if not math.isclose(total, exact, rel_tol=rel_tol, abs_tol=1e-12):
         raise ConsistencyError(
             f"breakdown closure violated: total={total!r} components sum={exact!r}")
     return total
 
 
-def _kg_dict(kg) -> dict[str, float]:
+def _kg_dict(kg, rel_tol: float) -> dict[str, float]:
     """`CfpBreakdown.as_dict` of a row's kg."""
-    return {**dict(zip(COMPONENTS, kg)), "total": _total(kg)}
+    return {**dict(zip(COMPONENTS, kg)), "total": _total(kg, rel_tol)}
 
 
 # one row of `_pair_table`: x, both totals, both platforms' components
 _PAIR_ROW = ",".join(["{:.6g}"] * (3 + 2 * len(COMPONENTS))).format
 
 
-def _pair_table(x_name: str, rows) -> str:
+def _pair_table(x_name: str, rows, rel_tol: float) -> str:
     """CSV of (x, FPGA kg, ASIC kg) float rows: both totals, then components."""
     header = ([x_name, "fpga_total", "asic_total"]
               + [f"fpga_{c}" for c in COMPONENTS] + [f"asic_{c}" for c in COMPONENTS])
     lines = [",".join(header)]
-    lines += [_PAIR_ROW(x, _total(fpga), _total(asic), *fpga, *asic) for x, fpga, asic in rows]
+    lines += [_PAIR_ROW(x, _total(fpga, rel_tol), _total(asic, rel_tol), *fpga, *asic)
+              for x, fpga, asic in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -353,17 +352,19 @@ def sweep_cmd(params_path, domain, sweep_text, n_app, lifetime_years, volume,
     inputs = {"domain": domain, "sweep": sweep_text, "apps": n_app,
               "lifetime_years": lifetime_years, "volume": volume,
               "horizon_years": horizon_years}
+    tol = params.options.breakdown_rel_tol
     if fmt == "record":
         results = {
-            "points": [{"value": pt.value, "fpga": pt.fpga.as_dict(),
-                        "asic": pt.asic.as_dict()} for pt in points],
+            "points": [{"value": pt.value, "fpga": _kg_dict(_kg(pt.fpga), tol),
+                        "asic": _kg_dict(_kg(pt.asic), tol)} for pt in points],
             "crossovers": [{"kind": c.kind, "value": c.value, "bracket": list(c.bracket)}
                            for c in crossovers],
         }
         text = json.dumps(_record("sweep", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = _pair_table("value", ((pt.value, _kg(pt.fpga), _kg(pt.asic)) for pt in points))
+        text = _pair_table("value", ((pt.value, _kg(pt.fpga), _kg(pt.asic)) for pt in points),
+                           tol)
         text += "".join(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
                         f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
     _emit(text, out)
@@ -437,13 +438,14 @@ def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years,
               "horizon_years": horizon_years, "step_years": step_years,
               "volume": volume, "apps": n_app}
     rows = [(f.hours / HOURS_PER_YEAR, f.kg, a.kg) for f, a in zip(fpga_tl, asic_tl)]
+    tol = params.options.breakdown_rel_tol
     if fmt == "record":
-        results = {"points": [{"t_years": t, "fpga": _kg_dict(fpga), "asic": _kg_dict(asic)}
-                              for t, fpga, asic in rows]}
+        results = {"points": [{"t_years": t, "fpga": _kg_dict(fpga, tol),
+                               "asic": _kg_dict(asic, tol)} for t, fpga, asic in rows]}
         text = json.dumps(_record("timeline", inputs, params, results),
                           sort_keys=True, indent=2) + "\n"
     else:
-        text = _pair_table("t_years", rows)
+        text = _pair_table("t_years", rows, tol)
     _emit(text, out)
 
 

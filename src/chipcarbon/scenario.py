@@ -1,4 +1,4 @@
-"""Sweeps, crossover detection, heatmaps, and breakdown reports.
+"""Sweeps, crossover detection, and heatmaps.
 
 Everything here is a pure function of its inputs: repeated runs produce
 identical results, and every grid cell is computed by the same code path as
@@ -116,9 +116,6 @@ class RatioGrid:
     x_values: tuple[float, ...]
     y_values: tuple[float, ...]
     cells: tuple[tuple[float, ...], ...]  # cells[iy][ix]
-
-    def ratio_at(self, ix: int, iy: int) -> float:
-        return self.cells[iy][ix]
 
     def unity_crossings(self) -> list[tuple[float, float]]:
         """(y, interpolated x) points where a row's ratio crosses 1.0."""
@@ -293,26 +290,3 @@ def heatmap(
     return RatioGrid(x_variable, y_variable, tuple(float(v) for v in x_values),
                      tuple(float(v) for v in y_values), tuple(rows))
 
-
-@dataclass(frozen=True)
-class BreakdownReport:
-    """Six-way component split for both platforms plus the EC/OC view."""
-
-    scenario: Scenario
-    fpga: CfpBreakdown
-    asic: CfpBreakdown
-
-    @property
-    def fpga_embodied_vs_operational(self) -> tuple[float, float]:
-        return self.fpga.embodied.value, self.fpga.deployment.value
-
-    @property
-    def asic_embodied_vs_operational(self) -> tuple[float, float]:
-        return self.asic.embodied.value, self.asic.deployment.value
-
-
-def breakdown_report(
-    scenario: Scenario, params: ParameterSet, library: TestcaseLibrary
-) -> BreakdownReport:
-    fpga, asic = evaluate_scenario(scenario, params, library)
-    return BreakdownReport(scenario, fpga, asic)

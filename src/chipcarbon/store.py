@@ -5,12 +5,15 @@ g CO2/kWh, MTCO2e per ton); this module converts them to canonical units,
 rejects unknown keys outright, and applies the bundled defaults for anything
 omitted. Warnings flag values that leave the published plausibility ranges
 without being outright invalid.
+
+One table, `_FIELDS`, drives all of it: loading, `serialize` and `validate`
+each walk its rows, so a field is spelled out once.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, IO, Mapping
@@ -30,43 +33,89 @@ from .params import (
     ParameterSet,
     TechNodeParams,
 )
-from .quantities import CarbonIntensity, CarbonMass, Duration, Energy, Power
+from .quantities import HOURS_PER_YEAR, CarbonIntensity, CarbonMass, Duration, Energy, Power
 
-_SECTION_KEYS: dict[str, tuple[str, ...]] = {
+# Hard ranges, refused at load: (low, high, low excluded, how the refusal states it).
+_GE_0 = (0, math.inf, False, "non-negative")
+_GT_0 = (0, math.inf, True, "positive")
+_GE_1 = (1, math.inf, False, ">= 1")
+_FRACTION = (0, 1, False, "in [0, 1]")
+_YIELD = (0, 1, True, "in (0, 1]")
+_GRIDS = (30.0, 700.0)  # the published range of grid carbon intensities, g/kWh
+
+# Document unit -> (canonical type, multiplier, divisor): canonical = document * mul / div.
+# The multiplier of months (None) is options.hours_per_dev_month.
+_UNITS = {
+    "GWh": (Energy, 1e6, 1.0),
+    "g/kWh": (CarbonIntensity, 1.0, 1000.0),
+    "years": (Duration, HOURS_PER_YEAR, 1.0),
+    "months": (Duration, None, 1.0),
+    "hours": (Duration, 1.0, 1.0), "W": (Power, 1.0, 1.0), "kg": (CarbonMass, 1.0, 1.0),
+}
+
+# Every document field, by section: (key, attribute of the section's ParameterSet class,
+# kind, unit, hard range, published range). The kind is "number", "integer", "flag" or the
+# tuple of accepted choices; a number without a unit is stored as it is; the published
+# range is in document units, and `validate` warns outside it.
+_FIELDS: dict[str, tuple[tuple, ...]] = {
     "design": (
-        "annual_energy_gwh", "grid_intensity_g_per_kwh", "total_employees",
-        "project_employees", "avg_gates_per_chip", "project_duration_years",
+        ("annual_energy_gwh", "annual_energy", "number", "GWh", _GE_0, (2.0, 7.3)),
+        ("grid_intensity_g_per_kwh", "grid_intensity", "number", "g/kWh", _GE_0, _GRIDS),
+        ("total_employees", "total_employees", "integer", None, _GE_1, None),
+        ("project_employees", "project_employees", "integer", None, _GE_1, None),
+        ("avg_gates_per_chip", "avg_gates_per_chip", "integer", None, _GE_1, None),
+        ("project_duration_years", "project_duration", "number", "years", _GT_0, (1.0, 3.0)),
     ),
-    "nodes": (),  # node numbers, validated separately
-    "eol": ("recycle_fraction", "discard_mt_per_ton", "recycle_mt_per_ton",
-            "chip_mass_g_per_mm2"),
-    "package": ("carbon_per_package_kg",),
-    "materials": ("recycled_fraction",),
-    "appdev": ("frontend_months", "backend_months", "config_hours_fpga",
-               "config_hours_asic", "dev_power_w", "dev_grid_intensity_g_per_kwh"),
-    "operation": ("duty_cycle", "use_grid_intensity_g_per_kwh"),
-    "options": ("appdev_scaling", "hours_per_dev_month", "replacement_reprogramming",
-                "breakdown_rel_tol", "crossover_tie_rel_tol"),
-    "provenance": (),  # free-form section -> note
+    "nodes": (  # the fields of each node; the node number is the key above them
+        ("energy_per_mm2_kwh", "energy_per_mm2", "number", None, _GE_0, None),
+        ("gas_per_mm2_kg", "gas_per_mm2", "number", None, _GE_0, None),
+        ("materials_new_per_mm2_kg", "materials_new_per_mm2", "number", None, _GE_0, None),
+        ("materials_recycled_per_mm2_kg", "materials_recycled_per_mm2", "number", None, _GE_0,
+         None),
+        ("yield", "yield_fraction", "number", None, _YIELD, None),
+        ("fab_intensity_g_per_kwh", "fab_intensity", "number", "g/kWh", _GE_0, None),
+    ),
+    "eol": (
+        ("recycle_fraction", "recycle_fraction", "number", None, _FRACTION, None),
+        ("discard_mt_per_ton", "discard_intensity", "number", None, _GE_0, (0.03, 2.08)),
+        ("recycle_mt_per_ton", "recycle_intensity", "number", None, _GE_0, (7.65, 29.83)),
+        ("chip_mass_g_per_mm2", "mass_per_mm2_g", "number", None, _GE_0, None),
+    ),
+    "package": (("carbon_per_package_kg", "carbon_per_package", "number", "kg", _GE_0, None),),
+    "materials": (("recycled_fraction", "recycled_fraction", "number", None, _FRACTION, None),),
+    "appdev": (
+        ("frontend_months", "frontend_time", "number", "months", _GE_0, (1.5, 2.5)),
+        ("backend_months", "backend_time", "number", "months", _GE_0, (0.5, 1.5)),
+        ("config_hours_fpga", "config_time_fpga", "number", "hours", _GE_0, None),
+        ("config_hours_asic", "config_time_asic", "number", "hours", _GE_0, None),
+        ("dev_power_w", "dev_power", "number", "W", _GE_0, None),
+        ("dev_grid_intensity_g_per_kwh", "dev_grid_intensity", "number", "g/kWh", _GE_0, _GRIDS),
+    ),
+    "operation": (
+        ("duty_cycle", "duty_cycle", "number", None, _FRACTION, None),
+        ("use_grid_intensity_g_per_kwh", "use_grid_intensity", "number", "g/kWh", _GE_0, _GRIDS),
+    ),
+    "options": (
+        ("appdev_scaling", "appdev_scaling", ("one_time", "literal"), None, None, None),
+        ("hours_per_dev_month", "hours_per_dev_month", "number", None, _GT_0, None),
+        ("replacement_reprogramming", "replacement_reprogramming", "flag", None, None, None),
+        ("breakdown_rel_tol", "breakdown_rel_tol", "number", None, _GT_0, None),
+        ("crossover_tie_rel_tol", "crossover_tie_rel_tol", "number", None, _GT_0, None),
+    ),
 }
 
-_NODE_KEYS = (
-    "energy_per_mm2_kwh", "gas_per_mm2_kg", "materials_new_per_mm2_kg",
-    "materials_recycled_per_mm2_kg", "yield", "fab_intensity_g_per_kwh",
-)
+_CLASSES = {"design": DesignHouseParams, "nodes": TechNodeParams, "eol": EolParams,
+            "package": PackageParams, "materials": MaterialsParams, "appdev": AppDevParams,
+            "operation": OperationParams, "options": Options}
 
-# Published plausibility ranges used for soft validation, in document units.
-_WARN_RANGES = {
-    "design.annual_energy_gwh": (2.0, 7.3),
-    "design.grid_intensity_g_per_kwh": (30.0, 700.0),
-    "design.project_duration_years": (1.0, 3.0),
-    "eol.discard_mt_per_ton": (0.03, 2.08),
-    "eol.recycle_mt_per_ton": (7.65, 29.83),
-    "appdev.frontend_months": (1.5, 2.5),
-    "appdev.backend_months": (0.5, 1.5),
-}
+_SECTION_KEYS = {section: tuple(row[0] for row in rows) for section, rows in _FIELDS.items()}
+_SECTIONS = (*_SECTION_KEYS, "provenance")  # provenance: free-form section -> note
+_NODE_KEYS = _SECTION_KEYS["nodes"]
 
 _INTENSITY_CEILING_G_PER_KWH = 2000.0  # no real grid is dirtier than 2 kg/kWh
+# the rows `validate` reads: a published range, or a carbon intensity under the ceiling
+_CHECKED = {section: tuple(row for row in rows if row[5] or row[3] == "g/kWh")
+            for section, rows in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -78,31 +127,9 @@ class Finding:
 
 @functools.cache
 def _parse_bundled(name: str) -> dict:
+    """A bundled document, parsed once per process; callers must not modify it."""
     text = resources.files("chipcarbon.data").joinpath(name).read_text(encoding="utf-8")
     return yaml.safe_load(text)
-
-
-def _read_bundled(name: str) -> dict:
-    """A bundled document, parsed once per process; each caller gets its own copy."""
-    return copy.deepcopy(_parse_bundled(name))
-
-
-def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ParameterError(f"{path}: expected true or false, got {value!r}")
-    return value
 
 
 def _check_keys(doc: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> None:
@@ -115,139 +142,90 @@ def _check_keys(doc: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> 
 
 
 def _merge(defaults: dict, override: Mapping[str, Any]) -> dict:
-    merged = copy.deepcopy(defaults)
+    """`override` laid over `defaults` field by field; neither is modified."""
+    merged = dict(defaults)
     for section, content in override.items():
         if content is None:
             continue
         if not isinstance(content, Mapping):
             raise ParameterError(f"{section}: expected a mapping of fields")
-        merged.setdefault(section, {})
-        for key, value in content.items():
-            if section == "nodes":
-                # per-node field merge; a brand-new node must be complete
-                if not isinstance(value, Mapping):
-                    raise ParameterError(f"nodes.{key}: expected a mapping of fields")
-                merged[section].setdefault(key, {})
-                merged[section][key].update(value)
-            else:
-                merged[section][key] = value
+        if section != "nodes":
+            if section in _SECTION_KEYS:
+                _check_keys(content, _SECTION_KEYS[section], section)
+            merged[section] = {**merged.get(section, {}), **content}
+            continue
+        nodes = merged["nodes"] = dict(merged["nodes"])
+        for nm, fields in content.items():
+            # per-node field merge; a brand-new node must be complete
+            if not isinstance(fields, Mapping):
+                raise ParameterError(f"nodes.{nm}: expected a mapping of fields")
+            nodes[nm] = {**nodes.get(nm, {}), **fields}
+            missing = sorted(set(_NODE_KEYS) - set(nodes[nm]))
+            if missing:
+                raise ParameterError(
+                    f"nodes.{nm}: new node is missing field(s): {', '.join(missing)}")
+            _check_keys(fields, _NODE_KEYS, f"nodes.{nm}")
     return merged
 
 
-def _build(doc: dict) -> ParameterSet:
-    _check_keys(doc, tuple(_SECTION_KEYS), "document")
-
-    d = doc.get("design", {})
-    _check_keys(d, _SECTION_KEYS["design"], "design")
-    o = doc.get("options", {})
-    _check_keys(o, _SECTION_KEYS["options"], "options")
+def _field(raw: Any, path: str, kind, unit: str | None, hard: tuple, month: float) -> Any:
+    """One document value, checked against its row and converted to canonical units."""
+    if kind == "flag":
+        if not isinstance(raw, bool):
+            raise ParameterError(f"{path}: expected true or false, got {raw!r}")
+        return raw
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ParameterError(f"{path}: expected {' or '.join(map(repr, kind))}, got {raw!r}")
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, int if kind == "integer" else (int, float)):
+        raise ParameterError(
+            f"{path}: expected {'an integer' if kind == 'integer' else 'a number'}, got {raw!r}")
+    try:  # an integer field must convert too: the model computes in floats
+        number = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParameterError(f"{path}: must be finite, got {number!r}")
+    value = raw if kind == "integer" else number
+    low, high, low_excluded, stated = hard
+    if (value <= low if low_excluded else value < low) or value > high:
+        raise ParameterError(f"{path}: must be {stated}, got {value!r}")
+    if unit is None:
+        return value
+    cls, mul, div = _UNITS[unit]
     try:
-        options = Options(
-            appdev_scaling=o.get("appdev_scaling", "one_time"),
-            hours_per_dev_month=_as_number(o.get("hours_per_dev_month", 730.0),
-                                           "options.hours_per_dev_month"),
-            replacement_reprogramming=_as_bool(o.get("replacement_reprogramming", False),
-                                               "options.replacement_reprogramming"),
-            breakdown_rel_tol=_as_number(o.get("breakdown_rel_tol", 1e-9),
-                                         "options.breakdown_rel_tol"),
-            crossover_tie_rel_tol=_as_number(o.get("crossover_tie_rel_tol", 1e-9),
-                                             "options.crossover_tie_rel_tol"),
-        )
+        return cls(value * (month if mul is None else mul) / div)
+    except ValueError as exc:  # a product beyond the float range
+        raise ParameterError(f"{path}: {exc}") from exc
 
-        design = DesignHouseParams(
-            annual_energy=Energy.from_gwh(_as_number(d["annual_energy_gwh"],
-                                                     "design.annual_energy_gwh")),
-            grid_intensity=CarbonIntensity.from_g_per_kwh(
-                _as_number(d["grid_intensity_g_per_kwh"], "design.grid_intensity_g_per_kwh")),
-            total_employees=_as_int(d["total_employees"], "design.total_employees"),
-            project_employees=_as_int(d["project_employees"], "design.project_employees"),
-            avg_gates_per_chip=_as_int(d["avg_gates_per_chip"], "design.avg_gates_per_chip"),
-            project_duration=Duration.from_years(
-                _as_number(d["project_duration_years"], "design.project_duration_years")),
-        )
 
-        nodes: dict[int, TechNodeParams] = {}
-        for raw_nm, fields in doc.get("nodes", {}).items():
-            nm = _as_int(raw_nm, "nodes.<key>")
-            path = f"nodes.{nm}"
-            _check_keys(fields, _NODE_KEYS, path)
+def _section(section: str, fields: Mapping[str, Any], path: str, month: float, **extra):
+    """The `_CLASSES[section]` instance that a document section's fields describe."""
+    values = extra
+    for key, attr, kind, unit, hard, _ in _FIELDS[section]:  # the bundled defaults give each key
+        values[attr] = _field(fields[key], f"{path}.{key}", kind, unit, hard, month)
+    try:
+        return _CLASSES[section](**values)
+    except ValueError as exc:  # an invariant across fields, e.g. project_employees
+        raise ParameterError(f"{path}: {exc}") from exc
 
-            def per_area(key: str) -> float:
-                value = _as_number(fields[key], f"{path}.{key}")
-                if value < 0:
-                    raise ParameterError(f"{path}.{key}: must be non-negative, got {value!r}")
-                return value
 
-            yield_fraction = _as_number(fields["yield"], f"{path}.yield")
-            if not 0.0 < yield_fraction <= 1.0:
-                raise ParameterError(
-                    f"{path}.yield: must be in (0, 1], got {yield_fraction!r}")
-            nodes[nm] = TechNodeParams(
-                node_nm=nm,
-                energy_per_mm2=per_area("energy_per_mm2_kwh"),
-                gas_per_mm2=per_area("gas_per_mm2_kg"),
-                materials_new_per_mm2=per_area("materials_new_per_mm2_kg"),
-                materials_recycled_per_mm2=per_area("materials_recycled_per_mm2_kg"),
-                yield_fraction=yield_fraction,
-                fab_intensity=CarbonIntensity.from_g_per_kwh(
-                    per_area("fab_intensity_g_per_kwh")),
-            )
-
-        e = doc.get("eol", {})
-        _check_keys(e, _SECTION_KEYS["eol"], "eol")
-        eol = EolParams(
-            recycle_fraction=_as_number(e["recycle_fraction"], "eol.recycle_fraction"),
-            discard_intensity=_as_number(e["discard_mt_per_ton"], "eol.discard_mt_per_ton"),
-            recycle_intensity=_as_number(e["recycle_mt_per_ton"], "eol.recycle_mt_per_ton"),
-            mass_per_mm2_g=_as_number(e["chip_mass_g_per_mm2"], "eol.chip_mass_g_per_mm2"),
-        )
-
-        p = doc.get("package", {})
-        _check_keys(p, _SECTION_KEYS["package"], "package")
-        package = PackageParams(CarbonMass.kg(
-            _as_number(p["carbon_per_package_kg"], "package.carbon_per_package_kg")))
-
-        m = doc.get("materials", {})
-        _check_keys(m, _SECTION_KEYS["materials"], "materials")
-        materials = MaterialsParams(
-            recycled_fraction=_as_number(m["recycled_fraction"], "materials.recycled_fraction"))
-
-        a = doc.get("appdev", {})
-        _check_keys(a, _SECTION_KEYS["appdev"], "appdev")
-        month = options.hours_per_dev_month
-        appdev = AppDevParams(
-            frontend_time=Duration.from_months(
-                _as_number(a["frontend_months"], "appdev.frontend_months"), month),
-            backend_time=Duration.from_months(
-                _as_number(a["backend_months"], "appdev.backend_months"), month),
-            config_time_fpga=Duration.hours(
-                _as_number(a["config_hours_fpga"], "appdev.config_hours_fpga")),
-            config_time_asic=Duration.hours(
-                _as_number(a["config_hours_asic"], "appdev.config_hours_asic")),
-            dev_power=Power.watts(_as_number(a["dev_power_w"], "appdev.dev_power_w")),
-            dev_grid_intensity=CarbonIntensity.from_g_per_kwh(
-                _as_number(a["dev_grid_intensity_g_per_kwh"],
-                           "appdev.dev_grid_intensity_g_per_kwh")),
-        )
-
-        op = doc.get("operation", {})
-        _check_keys(op, _SECTION_KEYS["operation"], "operation")
-        operation_params = OperationParams(
-            duty_cycle=_as_number(op["duty_cycle"], "operation.duty_cycle"),
-            use_grid_intensity=CarbonIntensity.from_g_per_kwh(
-                _as_number(op["use_grid_intensity_g_per_kwh"],
-                           "operation.use_grid_intensity_g_per_kwh")),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"missing required field: {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-
+def _build(doc: dict) -> ParameterSet:
+    options = _section("options", doc["options"], "options", 0.0)
+    month = options.hours_per_dev_month  # development months load in these hours
+    built: dict[str, Any] = {"options": options}
+    for section in _FIELDS:
+        if section == "nodes":
+            built["nodes"] = nodes = {}
+            for nm, fields in doc["nodes"].items():
+                if isinstance(nm, bool) or not isinstance(nm, int):
+                    raise ParameterError(f"nodes.<key>: expected an integer, got {nm!r}")
+                nodes[nm] = _section("nodes", fields, f"nodes.{nm}", month, node_nm=nm)
+        elif section != "options":
+            built[section] = _section(section, doc[section], section, month)
     provenance = {str(k): str(v) for k, v in (doc.get("provenance") or {}).items()}
-    return ParameterSet(
-        design=design, nodes=nodes, eol=eol, package=package, materials=materials,
-        appdev=appdev, operation=operation_params, options=options, provenance=provenance,
-    )
+    return ParameterSet(**built, provenance=provenance)
 
 
 def load_parameters(source: str | IO[str] | None = None) -> ParameterSet:
@@ -257,85 +235,44 @@ def load_parameters(source: str | IO[str] | None = None) -> ParameterSet:
     User documents override the defaults field by field; unknown keys are an
     error, and every out-of-range value is reported with its field path.
     """
-    defaults = _read_bundled("defaults.yaml")
-    defaults["nodes"] = _read_bundled("tech_nodes.yaml")["nodes"]
-
+    defaults = {**_parse_bundled("defaults.yaml"),
+                "nodes": _parse_bundled("tech_nodes.yaml")["nodes"]}
     if source is None:
-        merged = defaults
+        return _build(defaults)
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
     else:
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        else:
-            raw = yaml.safe_load(source)
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, Mapping):
-            raise ParameterError("parameter document must be a mapping at the top level")
-        _check_keys(raw, tuple(_SECTION_KEYS), "document")
-        merged = _merge(defaults, raw)
-        for nm, fields in (raw.get("nodes") or {}).items():
-            if not isinstance(fields, Mapping):
-                raise ParameterError(f"nodes.{nm}: expected a mapping of fields")
-            missing = sorted(set(_NODE_KEYS) - set(merged["nodes"].get(nm, {})))
-            if missing:
-                raise ParameterError(
-                    f"nodes.{nm}: new node is missing field(s): {', '.join(missing)}")
+        raw = yaml.safe_load(source)
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, Mapping):
+        raise ParameterError("parameter document must be a mapping at the top level")
+    _check_keys(raw, _SECTIONS, "document")
+    return _build(_merge(defaults, raw))
 
-    return _build(merged)
+
+def _document_value(unit: str | None, value: Any, month: float) -> Any:
+    """A canonical attribute value back in its document unit."""
+    if unit is None:
+        return value
+    _, mul, div = _UNITS[unit]
+    return value.value * div / (month if mul is None else mul)
 
 
 def serialize(params: ParameterSet) -> dict:
     """Render a ParameterSet back into document form (human units)."""
-    return {
-        "design": {
-            "annual_energy_gwh": params.design.annual_energy.value / 1e6,
-            "grid_intensity_g_per_kwh": params.design.grid_intensity.to_g_per_kwh(),
-            "total_employees": params.design.total_employees,
-            "project_employees": params.design.project_employees,
-            "avg_gates_per_chip": params.design.avg_gates_per_chip,
-            "project_duration_years": params.design.project_duration.to_years(),
-        },
-        "nodes": {
-            nm: {
-                "energy_per_mm2_kwh": n.energy_per_mm2,
-                "gas_per_mm2_kg": n.gas_per_mm2,
-                "materials_new_per_mm2_kg": n.materials_new_per_mm2,
-                "materials_recycled_per_mm2_kg": n.materials_recycled_per_mm2,
-                "yield": n.yield_fraction,
-                "fab_intensity_g_per_kwh": n.fab_intensity.to_g_per_kwh(),
-            }
-            for nm, n in sorted(params.nodes.items())
-        },
-        "eol": {
-            "recycle_fraction": params.eol.recycle_fraction,
-            "discard_mt_per_ton": params.eol.discard_intensity,
-            "recycle_mt_per_ton": params.eol.recycle_intensity,
-            "chip_mass_g_per_mm2": params.eol.mass_per_mm2_g,
-        },
-        "package": {"carbon_per_package_kg": params.package.carbon_per_package.value},
-        "materials": {"recycled_fraction": params.materials.recycled_fraction},
-        "appdev": {
-            "frontend_months": params.appdev.frontend_time.value / params.options.hours_per_dev_month,
-            "backend_months": params.appdev.backend_time.value / params.options.hours_per_dev_month,
-            "config_hours_fpga": params.appdev.config_time_fpga.value,
-            "config_hours_asic": params.appdev.config_time_asic.value,
-            "dev_power_w": params.appdev.dev_power.value,
-            "dev_grid_intensity_g_per_kwh": params.appdev.dev_grid_intensity.to_g_per_kwh(),
-        },
-        "operation": {
-            "duty_cycle": params.operation.duty_cycle,
-            "use_grid_intensity_g_per_kwh": params.operation.use_grid_intensity.to_g_per_kwh(),
-        },
-        "options": {
-            "appdev_scaling": params.options.appdev_scaling,
-            "hours_per_dev_month": params.options.hours_per_dev_month,
-            "replacement_reprogramming": params.options.replacement_reprogramming,
-            "breakdown_rel_tol": params.options.breakdown_rel_tol,
-            "crossover_tie_rel_tol": params.options.crossover_tie_rel_tol,
-        },
-        "provenance": dict(params.provenance),
-    }
+    month = params.options.hours_per_dev_month
+
+    def fields(owner, rows) -> dict:
+        return {key: _document_value(unit, getattr(owner, attr), month)
+                for key, attr, _, unit, _, _ in rows}
+
+    doc = {section: ({nm: fields(n, rows) for nm, n in sorted(params.nodes.items())}
+                     if section == "nodes" else fields(getattr(params, section), rows))
+           for section, rows in _FIELDS.items()}
+    doc["provenance"] = dict(params.provenance)
+    return doc
 
 
 def validate(params: ParameterSet) -> list[Finding]:
@@ -344,37 +281,26 @@ def validate(params: ParameterSet) -> list[Finding]:
     Hard invariant violations (fractions outside [0,1], zero yield, negative
     quantities) are rejected earlier, at load time, with their field paths;
     this pass reports values that are legal but outside the published ranges
-    (warnings) or physically implausible (errors).
+    (warnings) or carbon intensities above the plausibility ceiling (errors,
+    in place of a warning).
     """
+    month = params.options.hours_per_dev_month
+    owners = [(s, getattr(params, s), rows) for s, rows in _CHECKED.items() if s != "nodes"]
+    owners += [(f"nodes.{nm}", n, _CHECKED["nodes"]) for nm, n in sorted(params.nodes.items())]
     findings: list[Finding] = []
-    doc = serialize(params)
-
-    for path, (lo, hi) in _WARN_RANGES.items():
-        section, key = path.split(".")
-        value = doc[section][key]
-        if not lo <= value <= hi:
-            findings.append(Finding(
-                "warning", path,
-                f"value {value:g} outside the published range [{lo:g}, {hi:g}]"))
-
-    intensity_paths = [
-        ("design.grid_intensity_g_per_kwh", doc["design"]["grid_intensity_g_per_kwh"]),
-        ("appdev.dev_grid_intensity_g_per_kwh", doc["appdev"]["dev_grid_intensity_g_per_kwh"]),
-        ("operation.use_grid_intensity_g_per_kwh", doc["operation"]["use_grid_intensity_g_per_kwh"]),
-    ] + [
-        (f"nodes.{nm}.fab_intensity_g_per_kwh", n["fab_intensity_g_per_kwh"])
-        for nm, n in doc["nodes"].items()
-    ]
-    for path, value in intensity_paths:
-        if value > _INTENSITY_CEILING_G_PER_KWH:
-            findings.append(Finding(
-                "error", path,
-                f"carbon intensity {value:g} g/kWh exceeds the {_INTENSITY_CEILING_G_PER_KWH:g} "
-                f"g/kWh plausibility ceiling"))
-        elif path.startswith(("operation.", "appdev.")) and not 30.0 <= value <= 700.0:
-            findings.append(Finding(
-                "warning", path,
-                f"value {value:g} outside the published range [30, 700]"))
+    for prefix, owner, rows in owners:
+        for key, attr, _, unit, _, published in rows:
+            value = _document_value(unit, getattr(owner, attr), month)
+            if unit == "g/kWh" and value > _INTENSITY_CEILING_G_PER_KWH:
+                findings.append(Finding(
+                    "error", f"{prefix}.{key}",
+                    f"carbon intensity {value:g} g/kWh exceeds the "
+                    f"{_INTENSITY_CEILING_G_PER_KWH:g} g/kWh plausibility ceiling"))
+            elif published and not published[0] <= value <= published[1]:
+                findings.append(Finding(
+                    "warning", f"{prefix}.{key}",
+                    f"value {value:g} outside the published range "
+                    f"[{published[0]:g}, {published[1]:g}]"))
     return findings
 
 
@@ -414,7 +340,7 @@ def builtin_testcases(params: ParameterSet | None = None) -> TestcaseLibrary:
     """The bundled testcase library (domain pairs and industry chips)."""
     if params is None:
         params = load_parameters()
-    doc = _read_bundled("testcases.yaml")
+    doc = _parse_bundled("testcases.yaml")
 
     domains: dict[str, DomainTestcase] = {}
     for name, tc in doc["domains"].items():

@@ -266,6 +266,8 @@ BAD_FLAG_VALUES = [
     *((cmd, "--lifetime", v, "> 0") for cmd in SUBCOMMANDS for v in ("0", "-1")),
     *((cmd, "--horizon", "-1", ">= 0") for cmd in SUBCOMMANDS),
     *(("timeline", "--step", v, "> 0") for v in ("0", "-1")),
+    *(("compare", flag, v, "> 0") for flag in ("--area-ratio", "--power-ratio")
+      for v in ("0", "-1")),
 ]
 
 
@@ -343,6 +345,31 @@ TIMELINE_PARAMS = {
     "reprogramming": "options:\n  replacement_reprogramming: true\n",
     "literal": "options:\n  appdev_scaling: literal\n",
 }
+
+
+class TestClosureTolerance:
+    """Every printed total is checked once, to options.breakdown_rel_tol."""
+
+    # sum() rounds 1e16 + 1 back to 1e16, so it gives 5.0 where the exact sum is 6.0
+    CANCELLING = (1e16, 1.0, -1e16, 0.0, 0.0, 5.0)
+
+    @pytest.mark.parametrize("fmt", ["tabular", "record"])
+    @pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"heatmap"}))
+    def test_the_documented_key_governs(self, capsys, monkeypatch, tmp_path, command, fmt):
+        from chipcarbon import cli
+
+        monkeypatch.setattr(cli, "_kg", lambda b: list(self.CANCELLING))
+        monkeypatch.setattr(_Kernel, "at", lambda kernel, t: self.CANCELLING)
+        args = SUBCOMMANDS[command] + ("--format", fmt)
+        if command == "timeline":
+            args += ("--horizon", "2")
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal inconsistency: breakdown closure violated: total=5.0")
+        loose = tmp_path / "loose.yaml"
+        loose.write_text("options:\n  breakdown_rel_tol: 0.5\n")
+        code, out, err = run_main(capsys, "--params", str(loose), *args)
+        assert (code, err) == (0, "")
 
 
 class TestTimelineRows:

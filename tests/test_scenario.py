@@ -9,7 +9,6 @@ from chipcarbon.scenario import (
     Scenario,
     SweepSpec,
     SweepVariable,
-    breakdown_report,
     estimate_platform,
     evaluate_scenario,
     find_crossovers,
@@ -199,16 +198,15 @@ class TestHeatmap:
 
 class TestBreakdownReport:
     def test_zero_volume_reports_design_only(self, params, library):
-        report = breakdown_report(Scenario("DNN", n_app=2, lifetime_years=1.0, volume=0),
-                                  params, library)
-        for b in (report.fpga, report.asic):
+        scenario = Scenario("DNN", n_app=2, lifetime_years=1.0, volume=0)
+        for b in evaluate_scenario(scenario, params, library):
             assert b.design.value > 0.0
             assert math.isclose(b.total.value, b.design.value, rel_tol=1e-12)
 
     def test_embodied_operational_split_closes(self, params, library):
-        report = breakdown_report(Scenario("DNN", **CENTER), params, library)
-        ec, oc = report.fpga_embodied_vs_operational
-        assert math.isclose(ec + oc, report.fpga.total.value, rel_tol=1e-12)
+        for b in evaluate_scenario(Scenario("DNN", **CENTER), params, library):
+            ec, oc = b.embodied.value, b.deployment.value
+            assert math.isclose(ec + oc, b.total.value, rel_tol=1e-12)
 
 
 class TestEstimatePlatform:

@@ -1,11 +1,18 @@
+import copy
 import io
+import math
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 from importlib import resources
 
 from chipcarbon.errors import ParameterError
-from chipcarbon.store import load_parameters, serialize, validate
+from chipcarbon.quantities import CarbonIntensity, Duration, Energy
+from chipcarbon.store import (
+    _FIELDS, _NODE_KEYS, _SECTION_KEYS, Finding, _parse_bundled, load_parameters, serialize,
+    validate,
+)
 
 from conftest import params_with
 
@@ -81,14 +88,13 @@ nodes:
         assert p.nodes[5].yield_fraction == 0.75
 
     def test_node_override_does_not_leak_into_later_loads(self, params, tmp_path):
-        from chipcarbon.store import _NODE_KEYS, _read_bundled
-
+        bundled = copy.deepcopy(_parse_bundled("tech_nodes.yaml"))
         doc = tmp_path / "nodes.yaml"
         doc.write_text("nodes:\n  7:\n    yield: 0.5\n  5:\n"
                        + "".join(f"    {key}: 0.1\n" for key in _NODE_KEYS))
         custom = load_parameters(str(doc))
         assert custom.nodes[7].yield_fraction == 0.5 and 5 in custom.nodes
-        _read_bundled("tech_nodes.yaml")["nodes"].clear()  # each caller owns its copy
+        assert _parse_bundled("tech_nodes.yaml") == bundled  # a load modifies no parsed file
         assert load_parameters() == params
 
     def test_boolean_not_accepted_as_number(self):
@@ -98,6 +104,84 @@ nodes:
     def test_dev_month_override_changes_hours(self):
         p = params_with("options:\n  hours_per_dev_month: 160.0\n")
         assert p.appdev.frontend_time.value == 2.0 * 160.0
+
+
+# Refusals: (document, the exact error line). Each line names its field path.
+REFUSALS = [
+    *((f"options:\n  replacement_reprogramming: {raw}\n",
+       f"options.replacement_reprogramming: expected true or false, got {shown}")
+      for raw, shown in (('"false"', "'false'"), ('"true"', "'true'"), ("0", "0"), ("1", "1"),
+                         ("no_such_flag", "'no_such_flag'"))),
+    ("typo_section:\n  x: 1\n",
+     "document: unknown key(s) 'typo_section'; accepted: design, nodes, eol, package, "
+     "materials, appdev, operation, options, provenance"),
+    ("eol:\n  recycle_fractoin: 0.5\n",
+     "eol: unknown key(s) 'recycle_fractoin'; accepted: recycle_fraction, "
+     "discard_mt_per_ton, recycle_mt_per_ton, chip_mass_g_per_mm2"),
+    ("nodes:\n  10:\n    yield: 0.0\n", "nodes.10.yield: must be in (0, 1], got 0.0"),
+    ("eol:\n  recycle_fraction: 1.5\n", "eol.recycle_fraction: must be in [0, 1], got 1.5"),
+    ("nodes:\n  5:\n    yield: 0.9\n",
+     "nodes.5: new node is missing field(s): energy_per_mm2_kwh, fab_intensity_g_per_kwh, "
+     "gas_per_mm2_kg, materials_new_per_mm2_kg, materials_recycled_per_mm2_kg"),
+    ("operation:\n  duty_cycle: true\n", "operation.duty_cycle: expected a number, got True"),
+    ("appdev:\n  dev_power_w: -5\n", "appdev.dev_power_w: must be non-negative, got -5.0"),
+    ("design:\n  total_employees: 0\n", "design.total_employees: must be >= 1, got 0"),
+    ("design:\n  project_duration_years: 0\n",
+     "design.project_duration_years: must be positive, got 0.0"),
+    ("design:\n  project_employees: 30000\n",  # an invariant across fields: its section
+     "design: project_employees must be in [1, total_employees]"),
+    ("design:\n  annual_energy_gwh: 1.0e+303\n",  # finite, but not in kWh
+     "design.annual_energy_gwh: Energy must be finite, got inf"),
+    ("design:\n  annual_energy_gwh: 1" + "0" * 400 + "\n",
+     "design.annual_energy_gwh: must be finite, got inf"),
+    ("design:\n  total_employees: 1" + "0" * 400 + "\n",  # the model divides by it
+     "design.total_employees: must be finite, got inf"),
+    ("options:\n  appdev_scaling: daily\n",
+     "options.appdev_scaling: expected 'one_time' or 'literal', got 'daily'"),
+    ("options:\n  hours_per_dev_month: 0\n",
+     "options.hours_per_dev_month: must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("doc, line", REFUSALS)
+def test_refusal_line(doc, line):
+    with pytest.raises(ParameterError) as info:
+        params_with(doc)
+    assert str(info.value) == line
+
+
+def _doc(path: str, raw) -> str:
+    """A document setting the field at a dotted path, e.g. `nodes.10.yield`."""
+    *sections, key = path.split(".")
+    lines = [f"{'  ' * depth}{name}:" for depth, name in enumerate(sections)]
+    return "\n".join(lines + [f"{'  ' * len(sections)}{key}: {raw}"]) + "\n"
+
+
+# every number field's path, with node 10 standing for each node
+NUMBER_PATHS = [f"{'nodes.10' if section == 'nodes' else section}.{row[0]}"
+                for section, rows in _FIELDS.items() for row in rows if row[2] == "number"]
+
+
+class TestFiniteAndPositive:
+    # nine of these (the EOL intensities and mass, both tolerances, the per-area node
+    # terms) used to load and fail later with `CarbonMass must be finite, got nan`
+    @pytest.mark.parametrize("path", NUMBER_PATHS)
+    @pytest.mark.parametrize("raw, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
+    def test_every_number_must_be_finite(self, path, raw, shown):
+        with pytest.raises(ParameterError) as info:
+            params_with(_doc(path, raw))
+        assert str(info.value) == f"{path}: must be finite, got {shown}"
+
+    @pytest.mark.parametrize("key", ["breakdown_rel_tol", "crossover_tie_rel_tol"])
+    @pytest.mark.parametrize("raw", ["0", "-1.0e-9"])
+    def test_tolerances_must_be_positive(self, key, raw):
+        with pytest.raises(ParameterError) as info:
+            params_with(_doc(f"options.{key}", raw))
+        assert str(info.value) == f"options.{key}: must be positive, got {float(raw)!r}"
+
+    def test_positive_tolerances_load(self):
+        p = params_with("options:\n  breakdown_rel_tol: 1.0e-6\n  crossover_tie_rel_tol: 0.5\n")
+        assert (p.options.breakdown_rel_tol, p.options.crossover_tie_rel_tol) == (1e-6, 0.5)
 
 
 class TestValidateFindings:
@@ -112,6 +196,18 @@ class TestValidateFindings:
         findings = validate(p)
         assert any(f.severity == "error" for f in findings)
 
+    @pytest.mark.parametrize("path", [
+        "design.grid_intensity_g_per_kwh", "appdev.dev_grid_intensity_g_per_kwh",
+        "operation.use_grid_intensity_g_per_kwh", "nodes.10.fab_intensity_g_per_kwh",
+    ])
+    def test_intensity_above_the_ceiling_is_only_an_error(self, path):
+        assert validate(params_with(_doc(path, 2000.5))) == [Finding(
+            "error", path,
+            "carbon intensity 2000.5 g/kWh exceeds the 2000 g/kWh plausibility ceiling")]
+        at_ceiling = [] if path.startswith("nodes.") else [Finding(
+            "warning", path, "value 2000 outside the published range [30, 700]")]
+        assert validate(params_with(_doc(path, 2000))) == at_ceiling
+
     def test_frontend_two_months_is_clean(self):
         p = params_with("appdev:\n  frontend_months: 2.0\n")
         assert validate(p) == []
@@ -123,6 +219,27 @@ class TestValidateFindings:
 
 
 class TestRoundTrip:
+    # (path, its attribute, the unit constructor it must equal, the document value back)
+    UNITS = [
+        ("design.annual_energy_gwh", lambda p: p.design.annual_energy, Energy.from_gwh,
+         lambda q: q.value / 1e6),
+        ("design.grid_intensity_g_per_kwh", lambda p: p.design.grid_intensity,
+         CarbonIntensity.from_g_per_kwh, CarbonIntensity.to_g_per_kwh),
+        ("design.project_duration_years", lambda p: p.design.project_duration,
+         Duration.from_years, Duration.to_years),
+        ("appdev.frontend_months", lambda p: p.appdev.frontend_time,
+         lambda x: Duration.from_months(x, 730.0), lambda q: q.value / 730.0),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(1e-3, 1e6))
+    def test_units_convert_as_the_quantity_constructors(self, x):
+        for path, attribute, load, dump in self.UNITS:
+            p = params_with(_doc(path, repr(x)))
+            assert attribute(p) == load(x), path
+            section, key = path.split(".")
+            assert serialize(p)[section][key] == dump(load(x)), path
+
     def test_serialize_load_identity(self, params):
         doc = serialize(params)
         again = load_parameters(io.StringIO(yaml.safe_dump(doc)))
@@ -170,12 +287,54 @@ class TestTestcaseLibrary:
 
 
 class TestSchemaFile:
-    def test_schema_lists_exactly_the_accepted_keys(self):
-        from chipcarbon.store import _NODE_KEYS, _SECTION_KEYS
-        doc = yaml.safe_load(
+    """`params_schema.yaml` documents the field table that load, serialize and validate run on."""
+
+    # the schema's `hard` texts, as (low, high, low excluded) of the table's hard ranges;
+    # the cross-field half of project_employees is a `DesignHouseParams` invariant
+    HARD = {">= 0": (0, math.inf, False), "> 0": (0, math.inf, True),
+            ">= 1": (1, math.inf, False), "1 -- total_employees": (1, math.inf, False),
+            "0 -- 1": (0, 1, False), "(0, 1]": (0, 1, True)}
+
+    @staticmethod
+    def schema():
+        return yaml.safe_load(
             resources.files("chipcarbon.data").joinpath("params_schema.yaml").read_text())
-        assert set(doc) == set(_SECTION_KEYS)
+
+    def fields(self):
+        """(section, row, the schema's entry for the row) for every table row."""
+        doc = self.schema()
+        for section, rows in _FIELDS.items():
+            entries = doc[section]["<node_nm>"] if section == "nodes" else doc[section]
+            for row in rows:
+                yield section, row, entries[row[0]]
+
+    def test_schema_lists_exactly_the_accepted_keys(self):
+        doc = self.schema()
+        assert list(doc) == [*_FIELDS, "provenance"]
+        assert list(doc["nodes"]) == ["<node_nm>"]
+        for section, rows in _FIELDS.items():
+            entries = doc[section]["<node_nm>"] if section == "nodes" else doc[section]
+            assert list(entries) == [row[0] for row in rows], section
+
+    def test_kind_and_hard_range_match_the_table(self):
+        for section, (key, _, kind, _, hard, _), entry in self.fields():
+            if isinstance(kind, tuple):
+                assert (entry["type"], tuple(entry["values"])) == ("string", kind), key
+            else:
+                assert entry["type"] == kind, key
+            assert self.HARD.get(entry.get("hard")) == (hard and hard[:3]), f"{section}.{key}"
+
+    def test_plausible_range_is_the_published_range(self):
+        for section, (key, *_, published), entry in self.fields():
+            plausible = entry.get("plausible")
+            stated = tuple(map(float, plausible.split(" -- "))) if plausible else None
+            assert stated == published, f"{section}.{key}"
+
+    def test_bundled_defaults_give_every_field(self):
+        defaults = _parse_bundled("defaults.yaml")
+        assert list(defaults) == [s for s in _SECTION_KEYS if s != "nodes"] + ["provenance"]
         for section, keys in _SECTION_KEYS.items():
-            if keys:
-                assert set(doc[section]) == set(keys), section
-        assert set(doc["nodes"]["<node_nm>"]) == set(_NODE_KEYS)
+            if section != "nodes":
+                assert list(defaults[section]) == list(keys), section
+        for fields in _parse_bundled("tech_nodes.yaml")["nodes"].values():
+            assert list(fields) == list(_NODE_KEYS)
