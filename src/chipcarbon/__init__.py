@@ -1,11 +1,10 @@
 """Lifecycle carbon-footprint models for FPGA and ASIC accelerators."""
 
 from .breakdown import CfpBreakdown
-from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
-from .deployment import app_dev_cfp, app_dev_time, deployment_cfp, operational_cfp_per_year
+from .chips import ApplicationProfile, ChipKind, ChipSpec
+from .deployment import app_dev_cfp, app_dev_time, operational_cfp_per_year
 from .embodied import (
     design_cfp,
-    embodied_cfp,
     eol_cfp,
     manufacturing_cfp,
     materials_cfp,

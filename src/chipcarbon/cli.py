@@ -23,7 +23,9 @@ import click
 
 from . import __version__
 from .breakdown import COMPONENTS, CfpBreakdown
+from .chips import ChipKind
 from .errors import ConsistencyError, ParameterError
+from .lifecycle import cumulative_timeline
 from .quantities import HOURS_PER_YEAR, Duration, Power
 from .scenario import (
     Scenario,
@@ -54,27 +56,6 @@ def _load(params_path: str | None):
         lines = "; ".join(f"{f.path}: {f.message}" for f in errors)
         raise ParameterError(lines)
     return params, builtin_testcases(params)
-
-
-def _record(command: str, inputs: dict, params, results: dict) -> dict:
-    return {
-        "tool": "chipcarbon",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "parameters": serialize(params),
-        "results": results,
-    }
-
-
-def _emit(text: str, out: str | None) -> None:
-    # Every echo names its stream: without `file`, click caches a wrapper per
-    # stream in a weak-key map whose value is the stream itself, so a caller
-    # that redirects stdout for each in-process `main()` would keep every output.
-    click.echo(text, nl=False, file=sys.stdout)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _tabular(header: list[str], rows: list[list[str]]) -> str:
@@ -192,7 +173,7 @@ def cli(ctx: click.Context, params_path: str | None) -> None:
 
 
 _scenario_options = [
-    click.option("--apps", "n_app", default=1, show_default=True, type=int,
+    click.option("--apps", default=1, show_default=True, type=int,
                  callback=_at_least(1), help="Number of sequential applications."),
     click.option("--lifetime", "lifetime_years", default=2.0, show_default=True, type=float,
                  callback=_positive, help="Lifetime of each application, years."),
@@ -203,15 +184,6 @@ _scenario_options = [
                  help="Evaluation horizon in years; enables fleet replacement."),
 ]
 
-
-def _with(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return wrap
-
-
 _output_options = [
     click.option("--out", default=None, type=click.Path(dir_okay=False),
                  help="Also write the output to this file."),
@@ -220,52 +192,78 @@ _output_options = [
 ]
 
 
-@cli.command()
-@click.option("--testcase", required=True, help="Industry testcase name.")
-@_with(_scenario_options)
-@_with(_output_options)
-@click.pass_obj
-def estimate(params_path, testcase, n_app, lifetime_years, volume, horizon_years, out, fmt):
+def _command(name: str, options: list):
+    """Register `fn(params, library, inputs, record)` as the subcommand `name`.
+
+    The subcommand takes `options` plus --out/--format and loads the
+    parameters. `inputs` is the dict of its flag values; the body may adjust
+    it, and the record echoes it. The body returns the tabular text, or with
+    --format record the results of the record. The output goes to stdout and,
+    with --out, to that file too.
+    """
+    def register(fn):
+        def run(params_path, out, fmt, **inputs):
+            params, library = _load(params_path)
+            text = results = fn(params, library, inputs, fmt == "record")
+            if fmt == "record":
+                text = json.dumps({"tool": "chipcarbon", "version": __version__,
+                                   "command": name, "inputs": inputs,
+                                   "parameters": serialize(params), "results": results},
+                                  sort_keys=True, indent=2) + "\n"
+            # Every echo names its stream: without `file`, click caches a wrapper per
+            # stream in a weak-key map whose value is the stream itself, so a caller
+            # that redirects stdout for each in-process `main()` would keep every output.
+            click.echo(text, nl=False, file=sys.stdout)
+            if out:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        run = click.pass_obj(run)
+        for option in reversed(options + _output_options):  # listed order is --help order
+            run = option(run)
+        return cli.command(name=name, help=fn.__doc__)(run)
+    return register
+
+
+def _scenario(inputs: dict) -> Scenario:
+    return Scenario(inputs["domain"], n_app=inputs["apps"],
+                    lifetime_years=inputs["lifetime_years"], volume=inputs["volume"],
+                    horizon_years=inputs["horizon_years"])
+
+
+@_command("estimate", [click.option("--testcase", required=True, help="Industry testcase name."),
+                       *_scenario_options])
+def estimate(params, library, inputs, record):
     """Component breakdown for one named platform."""
-    params, library = _load(params_path)
-    chip = library.industry(testcase)
-    kg = _kg(estimate_platform(chip, n_app, lifetime_years, volume, params, horizon_years))
+    chip = library.industry(inputs["testcase"])
+    kg = _kg(estimate_platform(chip, inputs["apps"], inputs["lifetime_years"], inputs["volume"],
+                               params, inputs["horizon_years"]))
     tol = params.options.breakdown_rel_tol
-    inputs = {"testcase": testcase, "apps": n_app, "lifetime_years": lifetime_years,
-              "volume": volume, "horizon_years": horizon_years}
-    if fmt == "record":
-        text = json.dumps(_record("estimate", inputs, params, {"breakdown": _kg_dict(kg, tol)}),
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        text = _tabular(["platform", "component", "kg_co2e"], _breakdown_rows(testcase, kg, tol))
-    _emit(text, out)
+    if record:
+        return {"breakdown": _kg_dict(kg, tol)}
+    return _tabular(["platform", "component", "kg_co2e"],
+                    _breakdown_rows(inputs["testcase"], kg, tol))
 
 
-@cli.command()
-@click.option("--domain", required=True, help="Workload domain (e.g. DNN, ImgProc, Crypto).")
-@click.option("--area-ratio", default=None, type=float, callback=_positive,
-              help="Custom FPGA:ASIC area ratio (with --power-ratio).")
-@click.option("--power-ratio", default=None, type=float, callback=_positive,
-              help="Custom FPGA:ASIC power ratio (with --area-ratio).")
-@_with(_scenario_options)
-@_with(_output_options)
-@click.pass_obj
-def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years, volume,
-            horizon_years, out, fmt):
+@_command("compare", [
+    click.option("--domain", required=True, help="Workload domain (e.g. DNN, ImgProc, Crypto)."),
+    click.option("--area-ratio", default=None, type=float, callback=_positive,
+                 help="Custom FPGA:ASIC area ratio (with --power-ratio)."),
+    click.option("--power-ratio", default=None, type=float, callback=_positive,
+                 help="Custom FPGA:ASIC power ratio (with --area-ratio)."),
+    *_scenario_options])
+def compare(params, library, inputs, record):
     """FPGA vs ASIC totals, their ratio, and the verdict."""
-    params, library = _load(params_path)
+    area_ratio, power_ratio = inputs["area_ratio"], inputs["power_ratio"]
     if (area_ratio is None) != (power_ratio is None):
         raise ParameterError("--area-ratio and --power-ratio must be given together")
     if area_ratio is not None:
-        base = library.domain(domain)
+        base = library.domain(inputs["domain"])
         fpga = replace(base.fpga, area_mm2=base.asic.area_mm2 * area_ratio,
                        peak_power=Power.watts(base.asic.peak_power.value * power_ratio))
         custom = replace(base, area_ratio=area_ratio, power_ratio=power_ratio, fpga=fpga)
-        library = TestcaseLibrary(domains={**library.domains, domain: custom},
+        library = TestcaseLibrary(domains={**library.domains, inputs["domain"]: custom},
                                   industry_chips=library.industry_chips)
-    scenario = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                        volume=volume, horizon_years=horizon_years)
-    fpga, asic = (_kg(b) for b in evaluate_scenario(scenario, params, library))
+    fpga, asic = (_kg(b) for b in evaluate_scenario(_scenario(inputs), params, library))
     tol = params.options.breakdown_rel_tol
     fpga_total, asic_total = _total(fpga, tol), _total(asic, tol)
     ratio = fpga_total / asic_total
@@ -274,20 +272,13 @@ def compare(params_path, domain, area_ratio, power_ratio, n_app, lifetime_years,
         verdict = "tie"
     else:
         verdict = "FPGA-favored" if fpga_total < asic_total else "ASIC-favored"
-    inputs = {"domain": domain, "apps": n_app, "lifetime_years": lifetime_years,
-              "volume": volume, "horizon_years": horizon_years,
-              "area_ratio": area_ratio, "power_ratio": power_ratio}
-    results = {"fpga": _kg_dict(fpga, tol), "asic": _kg_dict(asic, tol),
-               "ratio": ratio, "verdict": verdict}
-    if fmt == "record":
-        text = json.dumps(_record("compare", inputs, params, results),
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        rows = _breakdown_rows("FPGA", fpga, tol) + _breakdown_rows("ASIC", asic, tol)
-        rows.append(["both", "ratio", _fmt(ratio)])
-        rows.append(["both", "verdict", verdict])
-        text = _tabular(["platform", "component", "value"], rows)
-    _emit(text, out)
+    if record:
+        return {"fpga": _kg_dict(fpga, tol), "asic": _kg_dict(asic, tol),
+                "ratio": ratio, "verdict": verdict}
+    rows = _breakdown_rows("FPGA", fpga, tol) + _breakdown_rows("ASIC", asic, tol)
+    rows.append(["both", "ratio", _fmt(ratio)])
+    rows.append(["both", "verdict", verdict])
+    return _tabular(["platform", "component", "value"], rows)
 
 
 def _kg(b: CfpBreakdown) -> list[float]:
@@ -300,14 +291,16 @@ def _total(kg, rel_tol: float) -> float:
     An inf or nan component makes the sum non-finite; the error then names the
     first bad value, as building the row's `CfpBreakdown` would. A sum that
     differs from the correctly rounded one by more than `rel_tol`
-    (options.breakdown_rel_tol) is an internal inconsistency.
+    (options.breakdown_rel_tol) plus the float rounding of the sum itself,
+    one machine epsilon per addition, is an internal inconsistency.
     """
     total = sum(kg)
     if not math.isfinite(total):
         bad = next((x for x in kg if not math.isfinite(x)), total)
         raise ValueError(f"CarbonMass must be finite, got {bad!r}")
     exact = math.fsum(kg)
-    if not math.isclose(total, exact, rel_tol=rel_tol, abs_tol=1e-12):
+    rounding = (len(kg) - 1) * sys.float_info.epsilon
+    if not math.isclose(total, exact, rel_tol=rel_tol + rounding, abs_tol=1e-12):
         raise ConsistencyError(
             f"breakdown closure violated: total={total!r} components sum={exact!r}")
     return total
@@ -332,121 +325,80 @@ def _pair_table(x_name: str, rows, rel_tol: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cli.command(name="sweep")
-@click.option("--domain", required=True)
-@click.option("--sweep", "sweep_text", required=True,
-              help="VAR:START:STOP:STEPS[:log]; VAR is NumApps, AppLifetime, "
-                   "AppVolume, or Horizon.")
-@_with(_scenario_options)
-@_with(_output_options)
-@click.pass_obj
-def sweep_cmd(params_path, domain, sweep_text, n_app, lifetime_years, volume,
-              horizon_years, out, fmt):
+@_command("sweep", [
+    click.option("--domain", required=True),
+    click.option("--sweep", required=True,
+                 help="VAR:START:STOP:STEPS[:log]; VAR is NumApps, AppLifetime, "
+                      "AppVolume, or Horizon."),
+    *_scenario_options])
+def sweep_cmd(params, library, inputs, record):
     """One-dimensional sweep of both platforms with crossover annotations."""
-    params, library = _load(params_path)
-    variable, values = _parse_sweep(sweep_text)
-    fixed = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                     volume=volume, horizon_years=horizon_years)
-    points = sweep(SweepSpec(variable, values, fixed), params, library)
+    variable, values = _parse_sweep(inputs["sweep"])
+    points = sweep(SweepSpec(variable, values, _scenario(inputs)), params, library)
     crossovers = find_crossovers(points, variable, params.options.crossover_tie_rel_tol)
-    inputs = {"domain": domain, "sweep": sweep_text, "apps": n_app,
-              "lifetime_years": lifetime_years, "volume": volume,
-              "horizon_years": horizon_years}
     tol = params.options.breakdown_rel_tol
-    if fmt == "record":
-        results = {
+    if record:
+        return {
             "points": [{"value": pt.value, "fpga": _kg_dict(_kg(pt.fpga), tol),
                         "asic": _kg_dict(_kg(pt.asic), tol)} for pt in points],
             "crossovers": [{"kind": c.kind, "value": c.value, "bracket": list(c.bracket)}
                            for c in crossovers],
         }
-        text = json.dumps(_record("sweep", inputs, params, results),
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        text = _pair_table("value", ((pt.value, _kg(pt.fpga), _kg(pt.asic)) for pt in points),
-                           tol)
-        text += "".join(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
-                        f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
-    _emit(text, out)
+    text = _pair_table("value", ((pt.value, _kg(pt.fpga), _kg(pt.asic)) for pt in points), tol)
+    return text + "".join(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
+                          f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
 
 
-@cli.command(name="heatmap")
-@click.option("--domain", required=True)
-@click.option("--sweep", "sweep_texts", required=True, multiple=True,
-              help="Give twice: x axis, then y axis.")
-@_with(_scenario_options)
-@_with(_output_options)
-@click.pass_obj
-def heatmap_cmd(params_path, domain, sweep_texts, n_app, lifetime_years, volume,
-                horizon_years, out, fmt):
+@_command("heatmap", [
+    click.option("--domain", required=True),
+    click.option("--sweep", required=True, multiple=True,
+                 help="Give twice: x axis, then y axis."),
+    *_scenario_options])
+def heatmap_cmd(params, library, inputs, record):
     """Pairwise sweep emitting long-form FPGA:ASIC ratio cells."""
-    params, library = _load(params_path)
-    if len(sweep_texts) != 2:
+    if len(inputs["sweep"]) != 2:
         raise ParameterError("heatmap needs exactly two --sweep axes")
-    (x_var, x_values), (y_var, y_values) = map(_parse_sweep, sweep_texts)
-    fixed = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                     volume=volume, horizon_years=horizon_years)
-    grid = heatmap(x_var, x_values, y_var, y_values, fixed, params, library)
-    inputs = {"domain": domain, "x": sweep_texts[0], "y": sweep_texts[1], "apps": n_app,
-              "lifetime_years": lifetime_years, "volume": volume,
-              "horizon_years": horizon_years}
-    if fmt == "record":
-        results = {"x_values": list(grid.x_values), "y_values": list(grid.y_values),
-                   "cells": [list(r) for r in grid.cells],
-                   "unity_crossings": [list(c) for c in grid.unity_crossings()]}
-        text = json.dumps(_record("heatmap", inputs, params, results),
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [f"{grid.x_variable.value},{grid.y_variable.value},fpga_to_asic_ratio"]
-        for iy, y in enumerate(grid.y_values):
-            for ix, x in enumerate(grid.x_values):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(grid.cells[iy][ix])}")
-        for y, x in grid.unity_crossings():
-            lines.append(f"# crossover,{grid.y_variable.value}={_fmt(y)},"
-                         f"{grid.x_variable.value}={_fmt(x)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    inputs["x"], inputs["y"] = inputs.pop("sweep")
+    (x_var, x_values), (y_var, y_values) = map(_parse_sweep, (inputs["x"], inputs["y"]))
+    grid = heatmap(x_var, x_values, y_var, y_values, _scenario(inputs), params, library)
+    if record:
+        return {"x_values": list(grid.x_values), "y_values": list(grid.y_values),
+                "cells": [list(r) for r in grid.cells],
+                "unity_crossings": [list(c) for c in grid.unity_crossings()]}
+    lines = [f"{grid.x_variable.value},{grid.y_variable.value},fpga_to_asic_ratio"]
+    for iy, y in enumerate(grid.y_values):
+        for ix, x in enumerate(grid.x_values):
+            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(grid.cells[iy][ix])}")
+    for y, x in grid.unity_crossings():
+        lines.append(f"# crossover,{grid.y_variable.value}={_fmt(y)},"
+                     f"{grid.x_variable.value}={_fmt(x)}")
+    return "\n".join(lines) + "\n"
 
 
-@cli.command(name="timeline")
-@click.option("--domain", required=True)
-@click.option("--lifetime", "lifetime_years", default=1.0, show_default=True, type=float,
-              callback=_positive, help="Lifetime of each application, years.")
-@click.option("--horizon", "horizon_years", required=True, type=float, callback=_non_negative)
-@click.option("--step", "step_years", default=0.5, show_default=True, type=float,
-              callback=_positive)
-@click.option("--volume", default=1e6, show_default=True, type=float, callback=_units)
-@_with(_output_options)
-@click.pass_obj
-def timeline_cmd(params_path, domain, lifetime_years, horizon_years, step_years, volume,
-                 out, fmt):
+@_command("timeline", [
+    click.option("--domain", required=True),
+    click.option("--lifetime", "lifetime_years", default=1.0, show_default=True, type=float,
+                 callback=_positive, help="Lifetime of each application, years."),
+    click.option("--horizon", "horizon_years", required=True, type=float,
+                 callback=_non_negative),
+    click.option("--step", "step_years", default=0.5, show_default=True, type=float,
+                 callback=_positive),
+    click.option("--volume", default=1e6, show_default=True, type=float, callback=_units)])
+def timeline_cmd(params, library, inputs, record):
     """Cumulative carbon for both platforms out to a horizon."""
-    from .chips import ChipKind
-    from .lifecycle import cumulative_timeline
-
-    params, library = _load(params_path)
-    n_app = max(1, math.ceil(horizon_years / lifetime_years))
-    scenario = Scenario(domain, n_app=n_app, lifetime_years=lifetime_years,
-                        volume=volume, horizon_years=horizon_years)
-    testcase = library.domain(domain)
-    schedule = scenario.schedule(testcase)  # the same applications as the sweeps
-    horizon = Duration.from_years(horizon_years)
-    step = Duration.from_years(step_years)
+    inputs["apps"] = max(1, math.ceil(inputs["horizon_years"] / inputs["lifetime_years"]))
+    testcase = library.domain(inputs["domain"])
+    schedule = _scenario(inputs).schedule(testcase)  # the same applications as the sweeps
+    horizon = Duration.from_years(inputs["horizon_years"])
+    step = Duration.from_years(inputs["step_years"])
     fpga_tl = cumulative_timeline(ChipKind.FPGA, schedule, testcase.fpga, params, horizon, step)
     asic_tl = cumulative_timeline(ChipKind.ASIC, schedule, testcase.asic, params, horizon, step)
-    inputs = {"domain": domain, "lifetime_years": lifetime_years,
-              "horizon_years": horizon_years, "step_years": step_years,
-              "volume": volume, "apps": n_app}
     rows = [(f.hours / HOURS_PER_YEAR, f.kg, a.kg) for f, a in zip(fpga_tl, asic_tl)]
     tol = params.options.breakdown_rel_tol
-    if fmt == "record":
-        results = {"points": [{"t_years": t, "fpga": _kg_dict(fpga, tol),
-                               "asic": _kg_dict(asic, tol)} for t, fpga, asic in rows]}
-        text = json.dumps(_record("timeline", inputs, params, results),
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        text = _pair_table("t_years", rows, tol)
-    _emit(text, out)
+    if record:
+        return {"points": [{"t_years": t, "fpga": _kg_dict(fpga, tol),
+                            "asic": _kg_dict(asic, tol)} for t, fpga, asic in rows]}
+    return _pair_table("t_years", rows, tol)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
+from .chips import ChipKind
 from .params import AppDevParams, OperationParams
 from .quantities import CarbonMass, Duration, Power, energy_to_carbon, HOURS_PER_YEAR
 
@@ -40,24 +40,3 @@ def app_dev_cfp(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) ->
     hours = app_dev_time(kind, n_app, n_vol, appdev)
     return energy_to_carbon(appdev.dev_power.energy_over(hours), appdev.dev_grid_intensity)
 
-
-def deployment_cfp(
-    chip: ChipSpec,
-    app: ApplicationProfile | Run,
-    op: OperationParams,
-    appdev: AppDevParams,
-    n_fpga: int = 1,
-) -> tuple[CarbonMass, CarbonMass]:
-    """Deployment carbon of one application (or of each in a run), as rate and one-time.
-
-    Returns ``(rate, one_time)`` where `rate` is kg CO2e per year of fleet
-    operation (volume x devices-per-unit x per-device rate) and `one_time` is
-    the application-development cost. A zero-volume application deploys
-    nothing, so both parts vanish.
-    """
-    if app.volume == 0:
-        return CarbonMass.zero(), CarbonMass.zero()
-    per_device = operational_cfp_per_year(chip.peak_power, op, app.duty_cycle)
-    rate = per_device * (app.volume * n_fpga)
-    one_time = app_dev_cfp(chip.kind, 1, app.volume, appdev)
-    return rate, one_time

@@ -7,8 +7,7 @@ once per distinct chip design regardless of volume.
 
 from __future__ import annotations
 
-from .breakdown import CfpBreakdown
-from .chips import ChipKind, ChipSpec
+from .chips import ChipSpec
 from .params import DesignHouseParams, EolParams, ParameterSet, TechNodeParams
 from .quantities import CarbonMass
 
@@ -76,33 +75,3 @@ def unit_embodied_cfp(chip: ChipSpec, params: ParameterSet, rho: float | None = 
     """Manufacturing + packaging + EOL for a single manufactured device."""
     return manufacturing_cfp(chip, params, rho) + packaging_cfp(chip) + eol_cfp(chip, params.eol)
 
-
-def embodied_cfp(
-    chip: ChipSpec,
-    n_vol: int,
-    n_fpga: int,
-    params: ParameterSet,
-    rho: float | None = None,
-) -> CfpBreakdown:
-    """Total embodied carbon for a deployment of `n_vol` units.
-
-    Each deployed unit needs `n_fpga` devices (always 1 for ASICs); the
-    design cost is paid once and does not scale with either factor.
-    """
-    if n_vol < 0:
-        raise ValueError("n_vol must be >= 0")
-    if n_fpga < 1:
-        raise ValueError("n_fpga must be >= 1")
-    if chip.kind is ChipKind.ASIC and n_fpga != 1:
-        raise ValueError("an ASIC deployment uses exactly one device per unit")
-
-    devices = n_vol * n_fpga
-    zero = CarbonMass.zero()
-    return CfpBreakdown(
-        design=design_cfp(params.design, chip.gates),
-        manufacturing=manufacturing_cfp(chip, params, rho) * devices,
-        packaging=packaging_cfp(chip) * devices,
-        eol=eol_cfp(chip, params.eol) * devices,
-        app_dev=zero,
-        operational=zero,
-    )

@@ -10,11 +10,12 @@ Replacement accounting only engages when a horizon is passed explicitly.
 Plain total queries (`horizon=None`) evaluate the reuse sum as-is, which is
 also how the sweep experiments are defined.
 
-A schedule is held as runs of identical applications (see `Run`); every
-query evaluates closed-form slot and re-purchase counts per run, so its cost
-does not depend on how many applications a run holds. Boundary rules: an
-ASIC application is booked when it starts at or before the horizon; the
-fleet is re-bought at every multiple of the chip lifetime strictly before
+A schedule is a sequence of `ApplicationProfile` entries, each standing for
+`count` identical applications; consecutive identical entries merge into one
+run. Every query evaluates closed-form slot and re-purchase counts per run, so
+its cost does not depend on how many applications a run holds. Boundary
+rules: an ASIC application is booked when it starts at or before the horizon;
+the fleet is re-bought at every multiple of the chip lifetime strictly before
 min(horizon, schedule end); a timeline row at t includes every event at t.
 """
 
@@ -25,13 +26,11 @@ import operator
 from typing import NamedTuple, Sequence
 
 from .breakdown import CfpBreakdown
-from .chips import ApplicationProfile, ChipKind, ChipSpec, Run
+from .chips import ApplicationProfile, ChipKind, ChipSpec
 from .deployment import operational_cfp_per_year
 from .embodied import design_cfp, eol_cfp, manufacturing_cfp, packaging_cfp
 from .params import ParameterSet
 from .quantities import Duration, HOURS_PER_YEAR
-
-Schedule = Sequence["ApplicationProfile | Run"]
 
 
 def n_fpga_required(app_size_gates: int, fpga_capacity_gates: int) -> int:
@@ -116,8 +115,8 @@ class ChipTerms:
         return self._dev_w * hours / 1000.0 * self._dev_grid
 
 
-def _runs(apps: Schedule, chips: Sequence[ChipSpec], kind: ChipKind, params: ParameterSet,
-          terms: dict[ChipSpec, ChipTerms]) -> list[tuple]:
+def _runs(apps: Sequence[ApplicationProfile], chips: Sequence[ChipSpec], kind: ChipKind,
+          params: ParameterSet, terms: dict[ChipSpec, ChipTerms]) -> list[tuple]:
     """Merge consecutive identical (application, chip) entries into plain runs.
 
     A plain run is (count, lifetime in hours, volume, size in gates, duty
@@ -128,15 +127,14 @@ def _runs(apps: Schedule, chips: Sequence[ChipSpec], kind: ChipKind, params: Par
     last_key = None
     for app, chip in zip(apps, chips):
         key = (app.lifetime.value, app.volume, app.size_gates, app.duty_cycle, chip)
-        count = app.count if isinstance(app, Run) else 1
         if key == last_key:
-            runs[-1][0] += count
-        elif count:
+            runs[-1][0] += app.count
+        elif app.count:
             if chip.kind is not kind:
                 raise ValueError(f"{chip.name}: expected an {kind.value} spec")
             if chip not in terms:
                 terms[chip] = ChipTerms(chip, params)
-            runs.append([count, *key[:4], terms[chip]])
+            runs.append([app.count, *key[:4], terms[chip]])
             last_key = key
     return [tuple(run) for run in runs]
 
@@ -230,7 +228,7 @@ def _hours(horizon: Duration | None) -> float | None:
 
 
 def asic_total_cfp(
-    apps: Schedule,
+    apps: Sequence[ApplicationProfile],
     asic_per_app: ChipSpec | Sequence[ChipSpec],
     params: ParameterSet,
     horizon: Duration | None = None,
@@ -240,8 +238,8 @@ def asic_total_cfp(
     Every application pays the full embodied cost (a fresh design and a fresh
     production run) plus lifetime-weighted operation. A horizon shorter than
     the schedule truncates it: applications starting past the horizon drop
-    out, the one straddling it accrues pro-rata. A `Run` entry of `apps`
-    stands for `count` identical applications and takes one ASIC spec.
+    out, the one straddling it accrues pro-rata. An entry of `apps` stands for
+    its `count` identical applications and takes one ASIC spec.
     """
     chips = [asic_per_app] * len(apps) if isinstance(asic_per_app, ChipSpec) else asic_per_app
     if len(chips) != len(apps):
@@ -251,7 +249,7 @@ def asic_total_cfp(
 
 
 def fpga_total_cfp(
-    apps: Schedule,
+    apps: Sequence[ApplicationProfile],
     fpga: ChipSpec,
     params: ParameterSet,
     horizon: Duration | None = None,
@@ -272,7 +270,7 @@ def fpga_total_cfp(
 
 def cumulative_timeline(
     kind: ChipKind,
-    apps: Schedule,
+    apps: Sequence[ApplicationProfile],
     chips: ChipSpec | Sequence[ChipSpec],
     params: ParameterSet,
     horizon: Duration,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .breakdown import CfpBreakdown
-from .chips import ChipKind, ChipSpec, Run
+from .chips import ApplicationProfile, ChipKind, ChipSpec
 from .errors import ConsistencyError
 from .lifecycle import ChipTerms, asic_total_cfp, fpga_total_cfp, run_totals
 from .params import ParameterSet
@@ -52,8 +52,6 @@ class Scenario:
     lifetime_years: float
     volume: int
     horizon_years: float | None = None
-    duty_cycle: float | None = None
-    app_size_gates: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_app < 1:
@@ -63,11 +61,11 @@ class Scenario:
         if self.volume < 0:
             raise ValueError("volume must be >= 0")
 
-    def schedule(self, testcase: DomainTestcase) -> list[Run]:
-        """The scenario's applications: one run of `n_app` identical ones."""
-        size = self.app_size_gates or testcase.default_app_size_gates
-        return [Run(self.n_app, Duration.from_years(self.lifetime_years), self.volume, size,
-                    self.duty_cycle)]
+    def schedule(self, testcase: DomainTestcase) -> list[ApplicationProfile]:
+        """The scenario's applications: one entry of `n_app` identical ones."""
+        return [ApplicationProfile(self.domain, testcase.default_app_size_gates,
+                                   Duration.from_years(self.lifetime_years), self.volume,
+                                   count=self.n_app)]
 
 
 @dataclass(frozen=True)
@@ -131,25 +129,25 @@ class RatioGrid:
         return crossings
 
 
-# A scenario in plain values: [apps, lifetime h, volume, size in gates, duty, horizon h]
+# A scenario in plain values: [apps, lifetime h, volume, size in gates, horizon h]
 _FIELD = {SweepVariable.NUM_APPS: 0, SweepVariable.APP_LIFETIME: 1,
-          SweepVariable.APP_VOLUME: 2, SweepVariable.HORIZON: 5}
+          SweepVariable.APP_VOLUME: 2, SweepVariable.HORIZON: 4}
 
 
 def _sample(scenario: Scenario, library: TestcaseLibrary) -> list:
     """The scenario in plain values, checked as its schedule and horizon are built."""
-    [run] = scenario.schedule(library.domain(scenario.domain))
+    [app] = scenario.schedule(library.domain(scenario.domain))
     horizon = scenario.horizon_years
-    return [run.count, run.lifetime.value, run.volume, run.size_gates, run.duty_cycle,
+    return [app.count, app.lifetime.value, app.volume, app.size_gates,
             None if horizon is None else Duration.from_years(horizon).value]
 
 
 def _totals(sample: Sequence, fpga: ChipTerms,
             asic: ChipTerms) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Both platforms' component kg of one plain sample, as (FPGA, ASIC)."""
-    n_app, lifetime_h, volume, size, duty, horizon_h = sample
-    return (run_totals([(n_app, lifetime_h, volume, size, duty, fpga)], fpga, horizon_h),
-            run_totals([(n_app, lifetime_h, volume, size, duty, asic)], None, horizon_h))
+    n_app, lifetime_h, volume, size, horizon_h = sample
+    return (run_totals([(n_app, lifetime_h, volume, size, None, fpga)], fpga, horizon_h),
+            run_totals([(n_app, lifetime_h, volume, size, None, asic)], None, horizon_h))
 
 
 def _terms(domain: str, params: ParameterSet, library: TestcaseLibrary) -> tuple[ChipTerms, ...]:
@@ -176,7 +174,8 @@ def estimate_platform(
     horizon_years: float | None = None,
 ) -> CfpBreakdown:
     """Single-platform estimate: run `n_app` chip-sized applications in turn."""
-    schedule = [Run(n_app, Duration.from_years(lifetime_years), volume, chip.gates)]
+    schedule = [ApplicationProfile(chip.name, chip.gates, Duration.from_years(lifetime_years),
+                                   volume, count=n_app)]
     horizon = Duration.from_years(horizon_years) if horizon_years is not None else None
     if chip.kind is ChipKind.FPGA:
         return fpga_total_cfp(schedule, chip, params, horizon)

@@ -7,7 +7,9 @@ Agreement between the two paths checks every aggregation rule (volume scaling,
 per-app recurrence, design one-timeness, replacement bookkeeping, horizon
 truncation, timeline booking).
 
-Times are hours, as in the API. Consecutive applications with equal lifetime,
+Times are hours, as in the API. Every entry must stand for one application
+(`count == 1`); the oracle refuses a compressed one rather than read it as
+a single application. Consecutive applications with equal lifetime,
 volume, size, duty cycle and chip form a run; slot i of a run starts at
 `run_start + i * lifetime` and ends where slot i + 1 starts. Boundary rules:
 an ASIC application is booked when it starts at or before the horizon; the
@@ -72,6 +74,9 @@ def slots(apps, chips) -> list[tuple[float, float]]:
     out: list[tuple[float, float]] = []
     run_start, index, previous = 0.0, 0, None
     for app, chip in zip(apps, chips):
+        if app.count != 1:
+            raise ValueError(f"{app.name}: the oracle walks single applications, "
+                             f"got count={app.count}")
         key = (app.lifetime.value, app.volume, app.size_gates, app.duty_cycle, chip)
         if key != previous:
             if previous is not None:

@@ -271,6 +271,47 @@ BAD_FLAG_VALUES = [
 ]
 
 
+SCENARIO_FLAGS = ("--apps", "3", "--lifetime", "1.5", "--volume", "1234.4", "--horizon", "4")
+SCENARIO_INPUTS = {"apps": 3, "lifetime_years": 1.5, "volume": 1234, "horizon_years": 4.0}
+# every subcommand with every flag given, and the `inputs` its record echoes
+ENVELOPES = {
+    "estimate": (("--testcase", "IndustryFPGA1", *SCENARIO_FLAGS),
+                 {"testcase": "IndustryFPGA1", **SCENARIO_INPUTS}),
+    "compare": (("--domain", "DNN", "--area-ratio", "2", "--power-ratio", "2.5",
+                 *SCENARIO_FLAGS),
+                {"domain": "DNN", "area_ratio": 2.0, "power_ratio": 2.5, **SCENARIO_INPUTS}),
+    "sweep": (("--domain", "DNN", "--sweep", "NumApps:1:3:3", *SCENARIO_FLAGS),
+              {"domain": "DNN", "sweep": "NumApps:1:3:3", **SCENARIO_INPUTS}),
+    "heatmap": (("--domain", "DNN", "--sweep", "NumApps:1:2:2", "--sweep", "AppLifetime:1:2:2",
+                 *SCENARIO_FLAGS),
+                {"domain": "DNN", "x": "NumApps:1:2:2", "y": "AppLifetime:1:2:2",
+                 **SCENARIO_INPUTS}),
+    "timeline": (("--domain", "ImgProc", "--lifetime", "1.5", "--horizon", "4", "--step", "0.5",
+                  "--volume", "1234.4"),
+                 {"domain": "ImgProc", "lifetime_years": 1.5, "horizon_years": 4.0,
+                  "step_years": 0.5, "volume": 1234, "apps": 3}),
+}
+
+
+class TestRecordEnvelope:
+    @pytest.mark.parametrize("command", sorted(ENVELOPES))
+    def test_every_command_echoes_its_inputs_and_parameters(self, capsys, tmp_path, command):
+        from chipcarbon import load_parameters, serialize
+
+        args, inputs = ENVELOPES[command]
+        out = tmp_path / "record.json"
+        code, text, err = run_main(capsys, command, *args, "--format", "record",
+                                   "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_text() == text
+        record = json.loads(text)
+        assert set(record) == {"tool", "version", "command", "inputs", "parameters", "results"}
+        assert record["command"] == command
+        assert record["inputs"] == inputs
+        # as JSON carries it: the node table's integer keys become strings
+        assert record["parameters"] == json.loads(json.dumps(serialize(load_parameters())))
+
+
 class TestFlagBounds:
     @pytest.mark.parametrize("command, flag, value, bound", BAD_FLAG_VALUES)
     def test_rejected_at_the_flag(self, capsys, command, flag, value, bound):
@@ -366,10 +407,28 @@ class TestClosureTolerance:
         code, out, err = run_main(capsys, *args)
         assert (code, out) == (2, "")
         assert err.startswith("internal inconsistency: breakdown closure violated: total=5.0")
+        tight = tmp_path / "tight.yaml"
+        tight.write_text("options:\n  breakdown_rel_tol: 1.0e-300\n")
+        code, out, err = run_main(capsys, "--params", str(tight), *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal inconsistency: breakdown closure violated: total=5.0")
         loose = tmp_path / "loose.yaml"
         loose.write_text("options:\n  breakdown_rel_tol: 0.5\n")
         code, out, err = run_main(capsys, "--params", str(loose), *args)
         assert (code, err) == (0, "")
+
+
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--domain", "ImgProc", "--sweep", "AppVolume:1e3:1e6:25:log", "--apps", "5"),
+        ("timeline", "--domain", "ImgProc", "--lifetime", "1", "--horizon", "45", "--step", "0.5"),
+    ])
+    def test_float_rounding_is_not_an_inconsistency(self, capsys, tmp_path, args):
+        # each command has a row whose float sum is an ulp off the correctly rounded one
+        tight = tmp_path / "tight.yaml"
+        tight.write_text("options:\n  breakdown_rel_tol: 1.0e-300\n")
+        default = run_main(capsys, *args)
+        assert default[0] == 0
+        assert run_main(capsys, "--params", str(tight), *args) == default
 
 
 class TestTimelineRows:

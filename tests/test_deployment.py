@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 from hypothesis import given, strategies as st
@@ -6,9 +7,9 @@ from chipcarbon.chips import ApplicationProfile, ChipKind
 from chipcarbon.deployment import (
     app_dev_cfp,
     app_dev_time,
-    deployment_cfp,
     operational_cfp_per_year,
 )
+from chipcarbon.lifecycle import asic_total_cfp, fpga_total_cfp
 from chipcarbon.params import AppDevParams, OperationParams
 from chipcarbon.quantities import CarbonIntensity, Duration, Power
 
@@ -77,7 +78,6 @@ class TestAppDevCfp:
         assert math.isclose(c.value, 1514.0, rel_tol=1e-9)
 
     def test_zero_dev_power(self):
-        import dataclasses
         quiet = dataclasses.replace(APPDEV, dev_power=Power.watts(0.0))
         assert app_dev_cfp(ChipKind.FPGA, 3, 1000, quiet).value == 0.0
 
@@ -89,35 +89,43 @@ class TestAppDevCfp:
 
 
 class TestDeploymentCfp:
+    """Development and operating carbon as the lifecycle totals book one application."""
+
     def _app(self, volume=1000, duty=0.5):
         return ApplicationProfile("w", int(1e8), Duration.from_years(2.0), volume,
                                   duty_cycle=duty)
 
-    def test_zero_volume_has_no_deployment(self, library):
-        chip = library.domain("DNN").fpga
-        rate, one_time = deployment_cfp(chip, self._app(volume=0), OP, APPDEV)
-        assert rate.value == 0.0
-        assert one_time.value == 0.0
+    def _deployment(self, chip, app, params):
+        """(operating kg per year, development kg) of `app` on `chip`."""
+        total = fpga_total_cfp if chip.kind is ChipKind.FPGA else asic_total_cfp
+        b = total([app], chip, params)
+        return b.operational.value / app.lifetime.to_years(), b.app_dev.value
 
-    def test_volume_scaling(self, library):
+    def test_zero_volume_has_no_deployment(self, params, library):
         chip = library.domain("DNN").fpga
-        r1, o1 = deployment_cfp(chip, self._app(volume=1000), OP, APPDEV)
-        r2, o2 = deployment_cfp(chip, self._app(volume=2000), OP, APPDEV)
-        assert math.isclose(r2.value, 2 * r1.value, rel_tol=1e-12)
+        params = dataclasses.replace(params, operation=OP, appdev=APPDEV)
+        rate, one_time = self._deployment(chip, self._app(volume=0), params)
+        assert rate == 0.0
+        assert one_time == 0.0
+
+    def test_volume_scaling(self, params, library):
+        chip = library.domain("DNN").fpga
+        params = dataclasses.replace(params, operation=OP, appdev=APPDEV)
+        r1, o1 = self._deployment(chip, self._app(volume=1000), params)
+        r2, o2 = self._deployment(chip, self._app(volume=2000), params)
+        assert math.isclose(r2, 2 * r1, rel_tol=1e-12)
         # only the per-unit config part of one_time scales with volume
         fe_be = app_dev_cfp(ChipKind.FPGA, 1, 0, APPDEV).value
-        assert math.isclose(o2.value - fe_be, 2 * (o1.value - fe_be), rel_tol=1e-9)
+        assert math.isclose(o2 - fe_be, 2 * (o1 - fe_be), rel_tol=1e-9)
 
     def test_dnn_rate_ratio_is_power_ratio(self, params, library):
         dnn = library.domain("DNN")
-        app = self._app(volume=1000, duty=None)
-        fpga_rate, _ = deployment_cfp(dnn.fpga, app, params.operation, params.appdev, 1)
-        asic_rate, _ = deployment_cfp(dnn.asic, app, params.operation, params.appdev, 1)
-        assert math.isclose(fpga_rate.value, 3.0 * asic_rate.value, rel_tol=1e-12)
+        fpga_rate = operational_cfp_per_year(dnn.fpga.peak_power, params.operation).value
+        asic_rate = operational_cfp_per_year(dnn.asic.peak_power, params.operation).value
+        assert math.isclose(fpga_rate, 3.0 * asic_rate, rel_tol=1e-12)
 
     def test_asic_default_deployment_is_operation_only(self, params, library):
         asic = library.domain("Crypto").asic
-        rate, one_time = deployment_cfp(asic, self._app(volume=500), params.operation,
-                                        params.appdev, 1)
-        assert one_time.value == 0.0
-        assert rate.value > 0.0
+        rate, one_time = self._deployment(asic, self._app(volume=500), params)
+        assert one_time == 0.0
+        assert rate > 0.0

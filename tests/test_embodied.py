@@ -6,16 +6,16 @@ from hypothesis import given, strategies as st
 import yaml
 from importlib import resources
 
-from chipcarbon.chips import ChipKind, ChipSpec
+from chipcarbon.chips import ApplicationProfile, ChipKind, ChipSpec
 from chipcarbon.embodied import (
     design_cfp,
-    embodied_cfp,
     eol_cfp,
     manufacturing_cfp,
     materials_cfp,
     packaging_cfp,
     unit_embodied_cfp,
 )
+from chipcarbon.lifecycle import asic_total_cfp, fpga_total_cfp
 from chipcarbon.params import (
     DesignHouseParams,
     EolParams,
@@ -43,6 +43,13 @@ def _chip(area=200.0, node=10, gates=int(1e8), kind=ChipKind.ASIC, power=1.0,
         gates=gates, node_nm=node, package=PackageParams(CarbonMass.kg(package_kg)),
         chip_lifetime=Duration.from_years(8.0),
     )
+
+
+def _deployed(chip, n_vol, params, n_fpga=1):
+    """One application of `n_vol` units on `chip`, sized to need `n_fpga` FPGAs per unit."""
+    app = ApplicationProfile("app", n_fpga * chip.gates, Duration.from_years(1.0), n_vol)
+    total = fpga_total_cfp if chip.kind is ChipKind.FPGA else asic_total_cfp
+    return total([app], chip, params)
 
 
 class TestDesignCfp:
@@ -150,8 +157,8 @@ class TestPackagingCfp:
     def test_zero_and_constant_in_volume(self, params):
         assert packaging_cfp(_chip(package_kg=0.0)).value == 0.0
         chip = _chip()
-        one = embodied_cfp(chip, 1, 1, params).packaging.value
-        million = embodied_cfp(chip, 1_000_000, 1, params).packaging.value
+        one = _deployed(chip, 1, params).packaging.value
+        million = _deployed(chip, 1_000_000, params).packaging.value
         assert math.isclose(million, one * 1e6, rel_tol=1e-12)
 
     def test_bundled_default_matches_dataset(self, params, library):
@@ -162,33 +169,31 @@ class TestPackagingCfp:
 
 
 class TestEmbodiedCfp:
+    """Embodied carbon as the lifecycle totals book it for one application."""
+
     def test_zero_volume_is_design_only(self, params):
-        b = embodied_cfp(_chip(), 0, 1, params)
+        b = _deployed(_chip(), 0, params)
         assert b.design.value > 0
         assert b.manufacturing.value == b.packaging.value == b.eol.value == 0.0
         assert math.isclose(b.total.value, b.design.value, rel_tol=1e-12)
 
     def test_volume_product_against_unit_loop(self, params):
         chip = _chip()
-        closed = embodied_cfp(chip, 1_000_000, 1, params)
+        closed = _deployed(chip, 1_000_000, params).embodied
         # independent accumulator: one chip at a time
         acc = 0.0
         unit = unit_embodied_cfp(chip, params).value
         for _ in range(1_000_000):
             acc += unit
         expected = design_cfp(params.design, chip.gates).value + acc
-        assert math.isclose(closed.total.value, expected, rel_tol=1e-9)
+        assert math.isclose(closed.value, expected, rel_tol=1e-9)
 
     def test_doubling_n_fpga(self, params):
         chip = _chip(kind=ChipKind.FPGA)
-        b1 = embodied_cfp(chip, 1000, 1, params)
-        b2 = embodied_cfp(chip, 1000, 2, params)
+        b1 = _deployed(chip, 1000, params)
+        b2 = _deployed(chip, 1000, params, n_fpga=2)
         assert math.isclose(b2.manufacturing.value, 2 * b1.manufacturing.value, rel_tol=1e-12)
         assert b2.design.value == b1.design.value
-
-    def test_asic_requires_single_device(self, params):
-        with pytest.raises(ValueError):
-            embodied_cfp(_chip(kind=ChipKind.ASIC), 10, 2, params)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=10_000))
@@ -196,16 +201,16 @@ class TestEmbodiedCfp:
         from chipcarbon import load_parameters
         params = load_parameters()
         chip = _chip()
-        left = embodied_cfp(chip, a + b, 1, params).total.value
-        right = (embodied_cfp(chip, a, 1, params).total.value
-                 + embodied_cfp(chip, b, 1, params).total.value
+        left = _deployed(chip, a + b, params).embodied.value
+        right = (_deployed(chip, a, params).embodied.value
+                 + _deployed(chip, b, params).embodied.value
                  - design_cfp(params.design, chip.gates).value)
         assert math.isclose(left, right, rel_tol=1e-12, abs_tol=1e-9)
 
     def test_components_nonneg_and_total_positive_on_defaults(self, params, library):
         for name in ("IndustryASIC1", "IndustryASIC2", "IndustryFPGA1", "IndustryFPGA2"):
-            b = embodied_cfp(library.industry(name), 1_000_000, 1, params)
+            b = _deployed(library.industry(name), 1_000_000, params)
             assert b.design.value >= 0
             assert b.manufacturing.value >= 0
             assert b.packaging.value >= 0
-            assert b.total.value > 0  # EOL credit never flips the total on defaults
+            assert b.embodied.value > 0  # EOL credit never flips the total on defaults

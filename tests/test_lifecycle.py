@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chipcarbon.breakdown import COMPONENTS
-from chipcarbon.chips import ApplicationProfile, ChipKind, Run
-from chipcarbon.embodied import design_cfp, unit_embodied_cfp
+from chipcarbon.chips import ApplicationProfile, ChipKind
+from chipcarbon.deployment import app_dev_cfp, operational_cfp_per_year
+from chipcarbon.embodied import (
+    design_cfp,
+    eol_cfp,
+    manufacturing_cfp,
+    packaging_cfp,
+    unit_embodied_cfp,
+)
 from chipcarbon.lifecycle import (
     asic_total_cfp,
     cumulative_timeline,
@@ -24,6 +31,20 @@ from oracle import oracle_asic_total, oracle_fpga_total, oracle_timeline, slots
 def _apps(n, years=2.0, volume=1000, size=int(1e8), duty=None):
     return [ApplicationProfile(f"app{i}", size, Duration.from_years(years), volume,
                                duty_cycle=duty) for i in range(n)]
+
+
+def _embodied_kg(chip, volume, params):
+    """Design plus `volume` devices' manufacturing, packaging and EOL, by the unit functions."""
+    return (design_cfp(params.design, chip.gates).value
+            + volume * unit_embodied_cfp(chip, params).value)
+
+
+def _one_app_kg(chip, app, params):
+    """Total kg of one application on one device per unit, from the unit functions."""
+    rate = operational_cfp_per_year(chip.peak_power, params.operation, app.duty_cycle).value
+    return (_embodied_kg(chip, app.volume, params)
+            + app.lifetime.to_years() * (rate * app.volume)
+            + app_dev_cfp(chip.kind, 1, app.volume, params.appdev).value)
 
 
 def _assert_matches_oracle(breakdown, oracle: dict, rel=1e-9):
@@ -57,12 +78,7 @@ class TestAsicTotal:
         asic = library.domain("DNN").asic
         [app] = _apps(1)
         b = asic_total_cfp([app], asic, params)
-        from chipcarbon.embodied import embodied_cfp
-        emb = embodied_cfp(asic, app.volume, 1, params)
-        from chipcarbon.deployment import deployment_cfp
-        rate, one_time = deployment_cfp(asic, app, params.operation, params.appdev)
-        expected = emb.total.value + 2.0 * rate.value + one_time.value
-        assert math.isclose(b.total.value, expected, rel_tol=1e-12)
+        assert math.isclose(b.total.value, _one_app_kg(asic, app, params), rel_tol=1e-12)
 
     def test_identical_apps_scale(self, params, library):
         asic = library.domain("ImgProc").asic
@@ -86,12 +102,7 @@ class TestFpgaTotal:
         fpga = library.domain("DNN").fpga
         [app] = _apps(1, size=fpga.gates)
         b = fpga_total_cfp([app], fpga, params, horizon=Duration.from_years(2.0))
-        from chipcarbon.embodied import embodied_cfp
-        from chipcarbon.deployment import deployment_cfp
-        emb = embodied_cfp(fpga, app.volume, 1, params)
-        rate, one_time = deployment_cfp(fpga, app, params.operation, params.appdev)
-        expected = emb.total.value + 2.0 * rate.value + one_time.value
-        assert math.isclose(b.total.value, expected, rel_tol=1e-12)
+        assert math.isclose(b.total.value, _one_app_kg(fpga, app, params), rel_tol=1e-12)
 
     def test_requires_fpga_kind(self, params, library):
         with pytest.raises(ValueError, match="expected an FPGA"):
@@ -180,8 +191,7 @@ appdev:
             apps = _apps(n, years=1.0, volume=1000, size=tc.default_app_size_gates)
             fpga = fpga_total_cfp(apps, tc.fpga, params).total.value
             asic = asic_total_cfp(apps, tc.asic, params).total.value
-            from chipcarbon.embodied import embodied_cfp
-            c_emb = embodied_cfp(tc.asic, 1000, 1, params).total.value
+            c_emb = _embodied_kg(tc.asic, 1000, params)
             assert fpga < asic
             assert math.isclose(asic - fpga, (n - 1) * c_emb, rel_tol=1e-9)
 
@@ -193,13 +203,12 @@ class TestTimeline:
         tl = cumulative_timeline(ChipKind.FPGA, apps, tc.fpga, params,
                                  Duration.hours(0.0), Duration.from_years(1.0))
         assert len(tl) == 1
-        from chipcarbon.embodied import embodied_cfp
-        emb = embodied_cfp(tc.fpga, 1000, 1, params).total.value
+        emb = _embodied_kg(tc.fpga, 1000, params)
         assert math.isclose(tl[0].cumulative.total.value, emb, rel_tol=1e-12)
 
         atl = cumulative_timeline(ChipKind.ASIC, apps, tc.asic, params,
                                   Duration.hours(0.0), Duration.from_years(1.0))
-        first_emb = embodied_cfp(tc.asic, 1000, 1, params).total.value
+        first_emb = _embodied_kg(tc.asic, 1000, params)
         assert math.isclose(atl[0].cumulative.total.value, first_emb, rel_tol=1e-12)
 
     def test_interior_jump_count_matches_floor_rule(self, params, library):
@@ -335,9 +344,6 @@ class TestKernelAgainstOracle:
 class TestChipTerms:
     @pytest.mark.parametrize("option", range(3), ids=["default", "reprogramming", "literal"])
     def test_one_application_is_bitwise_the_unit_functions(self, library, option):
-        from chipcarbon.deployment import deployment_cfp
-        from chipcarbon.embodied import eol_cfp, manufacturing_cfp, packaging_cfp
-
         params = PARAM_SETS[option]
         for domain in ("DNN", "ImgProc", "Crypto"):
             tc = library.domain(domain)
@@ -349,8 +355,9 @@ class TestChipTerms:
                                   duty=duty)
                     devices = volume * (1 if chip is tc.asic
                                         else n_fpga_required(app.size_gates, chip.gates))
-                    rate, one_time = deployment_cfp(chip, app, params.operation, params.appdev,
-                                                    devices // volume)
+                    rate = operational_cfp_per_year(chip.peak_power, params.operation,
+                                                    duty) * devices
+                    one_time = app_dev_cfp(chip.kind, 1, volume, params.appdev)
                     if params.options.appdev_scaling == "literal":
                         one_time = one_time * app.lifetime.to_years()
                     expected = (design_cfp(params.design, chip.gates).value,
@@ -389,18 +396,30 @@ class TestClosedFormKernel:
     def test_run_equals_the_applications_it_stands_for(self, params, library):
         tc = library.domain("ImgProc")
         apps = _apps(6, years=1.5, volume=700, size=tc.default_app_size_gates)
-        run = [Run(6, Duration.from_years(1.5), 700, tc.default_app_size_gates)]
+        run = [ApplicationProfile("run", tc.default_app_size_gates, Duration.from_years(1.5), 700,
+                                  count=6)]
         horizon = Duration.from_years(5.2)
         for total, chip in ((asic_total_cfp, tc.asic), (fpga_total_cfp, tc.fpga)):
             assert total(run, chip, params, horizon) == total(apps, chip, params, horizon)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_oracle_refuses_compressed_entries(self, params, library, count):
+        tc = library.domain("DNN")
+        [app] = _apps(1, size=tc.default_app_size_gates)
+        apps = [app, dataclasses.replace(app, count=count)]
+        for oracle in (lambda: oracle_asic_total(apps, [tc.asic] * 2, params),
+                       lambda: oracle_fpga_total(apps, tc.fpga, params, 4.0),
+                       lambda: oracle_timeline(apps, [tc.asic] * 2, None, params, 4.0, 1.0)):
+            with pytest.raises(ValueError, match=f"count={count}"):
+                oracle()
+
     def test_run_checks_its_workload(self):
         for bad in (dict(count=-1), dict(size_gates=0), dict(duty_cycle=1.5),
                     dict(volume=-1), dict(lifetime=Duration.hours(0.0))):
-            fields = dict(count=2, lifetime=Duration.from_years(1.0), volume=10,
+            fields = dict(name="run", count=2, lifetime=Duration.from_years(1.0), volume=10,
                           size_gates=100, duty_cycle=None)
             with pytest.raises(ValueError):
-                Run(**{**fields, **bad})
+                ApplicationProfile(**{**fields, **bad})
 
     def test_timeline_checks_chip_kind(self, params, library):
         tc = library.domain("DNN")
