@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chipcarbon import embodied, lifecycle
 from chipcarbon.breakdown import COMPONENTS
@@ -237,6 +238,34 @@ AXES = {
     SweepVariable.HORIZON: [0.5, 7.0, 12.384, 90.0],
 }
 
+# Lifetimes whose multiples, in years and in hours, are exact floats, so a horizon at
+# k lifetimes falls exactly on a slot start; 15 y is the bundled FPGA chip lifetime, so
+# its multiples are re-purchase instants.
+EXACT_LIFETIMES = (0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 3.75, 5.0, 7.5)
+_lifetimes = st.one_of(st.sampled_from(EXACT_LIFETIMES), st.floats(0.05, 20.0))
+_horizons = st.one_of(
+    st.builds(lambda k, life: k * life, st.integers(0, 60), st.sampled_from(EXACT_LIFETIMES)),
+    st.integers(0, 8).map(lambda m: 15.0 * m),
+    st.floats(0.0, 300.0),
+)
+AXIS_VALUES = {
+    SweepVariable.NUM_APPS: st.integers(1, 60).map(float),
+    SweepVariable.APP_LIFETIME: _lifetimes,
+    SweepVariable.APP_VOLUME: st.one_of(st.just(0.0), st.integers(1, 10**7).map(float)),
+    SweepVariable.HORIZON: _horizons,
+}
+OPTION_PAIRS = {
+    f"{scaling}-reprogramming_{'on' if on else 'off'}":
+        f"options:\n  appdev_scaling: {scaling}\n  replacement_reprogramming: {str(on).lower()}\n"
+    for scaling in ("one_time", "literal") for on in (False, True)
+}
+_option_params: dict = {}
+
+
+def _axis_samples(variable):
+    return st.lists(AXIS_VALUES[variable], min_size=1, max_size=4, unique=True).map(
+        lambda values: tuple(sorted(values)))
+
 
 class TestSharedEvaluationPath:
     """Sweeps and heatmaps share the coefficients of one query and `evaluate_scenario`'s path."""
@@ -253,6 +282,36 @@ class TestSharedEvaluationPath:
             scenario = _axis_value(fixed, variable, pt.value)
             fpga, asic = evaluate_scenario(scenario, params, library)
             assert (_bits(pt.fpga), _bits(pt.asic)) == (_bits(fpga), _bits(asic))
+
+    @pytest.mark.parametrize("option", sorted(OPTION_PAIRS))
+    @pytest.mark.parametrize("x, y", [(x, y) for x in SweepVariable for y in SweepVariable
+                                      if x is not y], ids=lambda v: v.value)
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_sample_and_cell_is_bitwise_evaluate_scenario(self, library, option, x, y,
+                                                                data):
+        if option not in _option_params:
+            _option_params[option] = params_with(OPTION_PAIRS[option])
+        params = _option_params[option]
+        fixed = Scenario(data.draw(st.sampled_from(["DNN", "ImgProc", "Crypto"])),
+                         n_app=data.draw(st.integers(1, 60)),
+                         lifetime_years=data.draw(_lifetimes),
+                         volume=data.draw(st.integers(0, 10**7)),
+                         horizon_years=data.draw(st.one_of(st.none(), _horizons)))
+        xs, ys = data.draw(_axis_samples(x)), data.draw(_axis_samples(y))
+
+        for variable, values in ((x, xs), (y, ys)):
+            for pt in sweep(SweepSpec(variable, values, fixed), params, library):
+                fpga, asic = evaluate_scenario(_axis_value(fixed, variable, pt.value),
+                                               params, library)
+                assert (_bits(pt.fpga), _bits(pt.asic)) == (_bits(fpga), _bits(asic))
+        grid = heatmap(x, xs, y, ys, fixed, params, library)
+        for iy, yv in enumerate(ys):
+            for ix, xv in enumerate(xs):
+                scenario = _axis_value(_axis_value(fixed, y, yv), x, xv)
+                fpga, asic = evaluate_scenario(scenario, params, library)
+                assert grid.cells[iy][ix].hex() == (fpga.total.value / asic.total.value).hex()
 
     @pytest.mark.parametrize("option", sorted(SHARED_PARAMS))
     @pytest.mark.parametrize("horizon", [None, 9.0])
