@@ -139,61 +139,45 @@ def _runs(apps: Sequence[ApplicationProfile], chips: Sequence[ChipSpec], kind: C
     return [tuple(run) for run in runs]
 
 
-class _Kernel:
-    """One platform's schedule reduced to per-run coefficients in plain floats.
+class _Timing:
+    """The slot arithmetic of a schedule, from its run counts and lifetimes alone.
 
-    `at(t)` returns the carbon booked by hour t in O(runs), as floats in
-    `COMPONENTS` order: slots started, slots completed, the one partial slot,
-    and fleet re-purchases are counted in closed form. `fleet` is the terms of
-    the FPGA fleet, or None for ASICs.
+    `at(t)` counts, in closed form, what has happened by hour t: the fleet's
+    purchases (1 + re-purchases), each run's reprogramming swaps, and per run
+    the hours elapsed, the share of slots done (whole slots plus the partial
+    one) and the slots started. `period` is the FPGA chip lifetime in hours,
+    or None for an ASIC schedule; the slot counts serve both platforms.
     """
 
-    def __init__(self, runs: Sequence[tuple], fleet: ChipTerms | None,
+    def __init__(self, slots: Sequence[tuple[int, float]], period: float | None,
                  horizon_h: float | None) -> None:
-        self.fleet = fleet
-        self.period = period = None if fleet is None else fleet.chip.chip_lifetime.value
-        # (start, lifetime, count, devices, rate, one-time, ASIC per-device embodied)
-        self.rows: list[tuple] = []
-        self.swaps: list[tuple] = []  # (re-purchases before run, before its end, kg each)
-        self.devices = 0  # fleet size: the most devices any run needs
+        self.period = period
+        self.runs: list[tuple] = []  # (start, lifetime, count)
+        self.swaps: list[tuple] = []  # (re-purchases before run, before its end)
         start = 0.0
-        for count, lifetime_h, volume, size, duty, terms in runs:
-            devices = volume * (1 if fleet is None else n_fpga_required(size, fleet.chip.gates))
-            rate = one_time = 0.0  # a zero-volume application deploys nothing
-            if volume:
-                rate = terms.rate(duty) * devices
-                one_time = terms.dev_kg(terms.dev_hours_per_app
-                                        + volume * terms.dev_hours_per_unit)
-                if terms.literal:
-                    one_time = one_time * (lifetime_h / HOURS_PER_YEAR)
+        for count, lifetime_h in slots:
             end = start + count * lifetime_h
-            self.devices = max(self.devices, devices)
-            self.rows.append((start, lifetime_h, count, devices, rate, one_time,
-                              None if fleet else terms.embodied))
-            if fleet is not None and fleet.reprogramming:
+            self.runs.append((start, lifetime_h, count))
+            if period is not None:
                 # a re-purchased fleet reloads the application running at that instant
                 self.swaps.append((max(0, _last(0.0, period, start, strict=True)),
-                                   max(0, _last(0.0, period, end, strict=True)),
-                                   fleet.dev_kg(volume * fleet.dev_hours_per_unit)))
+                                   max(0, _last(0.0, period, end, strict=True))))
             start = end
         self.cutoff = math.inf if horizon_h is None else min(horizon_h, start)
         self.replacements = 0
-        if fleet is not None and horizon_h is not None:
+        if period is not None and horizon_h is not None:
             self.replacements = max(0, _last(0.0, period, self.cutoff, strict=True))
 
-    def at(self, t: float) -> tuple[float, ...]:
+    def at(self, t: float) -> tuple:
+        """(purchases, swaps per run, (elapsed hours, share, started) per run) by hour t."""
         until = min(t, self.cutoff)
-        design = mfg = pkg = eol = app_dev = operational = 0.0
-        if self.fleet is not None:
+        replaced, swaps = 0, []
+        if self.period is not None:
             replaced = min(self.replacements, max(0, _last(0.0, self.period, t)))
-            design, m, p, e = self.fleet.embodied
-            bought = 1 + replaced
-            mfg = (m * self.devices) * bought
-            pkg = (p * self.devices) * bought
-            eol = (e * self.devices) * bought
-            for before, through, kg in self.swaps:
-                app_dev += kg * (min(replaced, through) - min(replaced, before))
-        for start, lifetime_h, count, devices, rate, one_time, unit in self.rows:
+            swaps = [min(replaced, through) - min(replaced, before)
+                     for before, through in self.swaps]
+        slots = []
+        for start, lifetime_h, count in self.runs:
             k = _last(start, lifetime_h, until)  # the last slot started by `until`
             done = max(0, min(count, k))
             elapsed_h, share = done * lifetime_h, done
@@ -201,26 +185,117 @@ class _Kernel:
                 slot_start = start + k * lifetime_h
                 elapsed_h += until - slot_start
                 share += (until - slot_start) / (start + (k + 1) * lifetime_h - slot_start)
-            operational += rate * elapsed_h / HOURS_PER_YEAR
-            app_dev += one_time * share
-            if unit is not None:
-                started = max(0, min(count, k + 1))
-                d, m, p, e = unit
-                design += d * started
-                mfg += (m * devices) * started
-                pkg += (p * devices) * started
-                eol += (e * devices) * started
-        # no devices times a recycling credit is -0.0, which would print as "-0"
-        return design, mfg, pkg, eol + 0.0, app_dev, operational
+            slots.append((elapsed_h, share, max(0, min(count, k + 1))))
+        return 1 + replaced, swaps, slots
 
 
-def run_totals(runs: Sequence[tuple], fleet: ChipTerms | None,
-               horizon_h: float | None) -> tuple[float, ...]:
-    """Component kg, in `COMPONENTS` order, of plain runs (see `_runs`) to the horizon.
+def _volume(runs: Sequence[tuple], fleet: ChipTerms | None) -> tuple:
+    """The device-scaled terms of plain runs (see `_runs`), none of their timing.
 
-    `fleet` is the FPGA fleet's terms, or None for an ASIC per application.
+    Returns (fleet kg, swap kg per run, (rate, one-time kg, slot kg) per run):
+    the FPGA fleet's design kg and its manufacturing, packaging and EOL kg per
+    purchase (None for ASICs); the development kg of reloading each run onto a
+    re-purchased fleet (none without reprogramming); and per run the operating
+    kg per year, the development kg per application and, for ASICs, the
+    design, manufacturing, packaging and EOL kg of one application slot.
     """
-    return _Kernel(runs, fleet, horizon_h).at(math.inf)
+    rows, swaps, fleet_devices = [], [], 0
+    for _, lifetime_h, volume, size, duty, terms in runs:
+        devices = volume * (1 if fleet is None else n_fpga_required(size, fleet.chip.gates))
+        rate = one_time = 0.0  # a zero-volume application deploys nothing
+        if volume:
+            rate = terms.rate(duty) * devices
+            one_time = terms.dev_kg(terms.dev_hours_per_app + volume * terms.dev_hours_per_unit)
+            if terms.literal:
+                one_time = one_time * (lifetime_h / HOURS_PER_YEAR)
+        slot = None
+        if fleet is None:
+            d, m, p, e = terms.embodied
+            slot = (d, m * devices, p * devices, e * devices)
+        elif fleet.reprogramming:
+            swaps.append(fleet.dev_kg(volume * fleet.dev_hours_per_unit))
+        fleet_devices = max(fleet_devices, devices)  # the fleet hosts the largest run
+        rows.append((rate, one_time, slot))
+    if fleet is None:
+        return None, swaps, rows
+    d, m, p, e = fleet.embodied
+    return (d, m * fleet_devices, p * fleet_devices, e * fleet_devices), swaps, rows
+
+
+def _combine(timing: tuple, fleet: tuple | None, swap_kg: Sequence[float],
+             rows: Sequence[tuple]) -> tuple[float, ...]:
+    """Component kg, in `COMPONENTS` order, of a timing part (`_Timing.at`) and a volume
+    part (`_volume`) of the same schedule. Every total and timeline row is booked here."""
+    bought, swaps, slots = timing
+    design = mfg = pkg = eol = app_dev = operational = 0.0
+    if fleet is not None:
+        design, m, p, e = fleet
+        mfg, pkg, eol = m * bought, p * bought, e * bought
+        for kg, n in zip(swap_kg, swaps):
+            app_dev += kg * n
+    for (rate, one_time, slot), (elapsed_h, share, started) in zip(rows, slots):
+        operational += rate * elapsed_h / HOURS_PER_YEAR
+        app_dev += one_time * share
+        if slot is not None:
+            d, m, p, e = slot
+            design += d * started
+            mfg += m * started
+            pkg += p * started
+            eol += e * started
+    # no devices times a recycling credit is -0.0, which would print as "-0"
+    return design, mfg, pkg, eol + 0.0, app_dev, operational
+
+
+class _Kernel:
+    """One platform's schedule as its volume and timing parts; `at(t)` combines them.
+
+    `fleet` is the terms of the FPGA fleet, or None for ASICs.
+    """
+
+    def __init__(self, runs: Sequence[tuple], fleet: ChipTerms | None,
+                 horizon_h: float | None) -> None:
+        self.volume = _volume(runs, fleet)
+        period = None if fleet is None else fleet.chip.chip_lifetime.value
+        self.timing = _Timing([run[:2] for run in runs], period, horizon_h)
+
+    def at(self, t: float) -> tuple[float, ...]:
+        return _combine(self.timing.at(t), *self.volume)
+
+
+class SampleTotals:
+    """Both platforms' totals of one-run samples, sharing parts within one query.
+
+    A sample is (apps, lifetime in hours, volume, size in gates, horizon in
+    hours) at the default duty cycle. Its timing part depends on apps,
+    lifetime and horizon and serves both platforms; each platform's volume
+    part depends on volume, size and, under literal development scaling,
+    lifetime. Each part is built once per distinct key, so a volume x NumApps
+    heatmap builds one timing part per row and one volume part pair per
+    column, and a cell costs two `_combine` calls. Build one per query and
+    drop it with the query.
+    """
+
+    def __init__(self, fpga: ChipSpec, asic: ChipSpec, params: ParameterSet) -> None:
+        self.fpga, self.asic = ChipTerms(fpga, params), ChipTerms(asic, params)
+        self.timings: dict[tuple, tuple] = {}
+        self.volumes: dict[tuple, tuple] = {}
+
+    def __call__(self, n_app: int, lifetime_h: float, volume: int, size: int,
+                 horizon_h: float | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(FPGA, ASIC) component kg of one sample."""
+        key = (volume, size, lifetime_h if self.fpga.literal else None)
+        volumes = self.volumes.get(key)
+        if volumes is None:
+            run = (n_app, lifetime_h, volume, size, None)
+            volumes = self.volumes[key] = (_volume([(*run, self.fpga)], self.fpga),
+                                           _volume([(*run, self.asic)], None))
+        key = (n_app, lifetime_h, horizon_h)
+        timing = self.timings.get(key)
+        if timing is None:
+            period = self.fpga.chip.chip_lifetime.value
+            timing = self.timings[key] = _Timing([(n_app, lifetime_h)], period,
+                                                 horizon_h).at(math.inf)
+        return _combine(timing, *volumes[0]), _combine(timing, *volumes[1])
 
 
 def _hours(horizon: Duration | None) -> float | None:
@@ -245,7 +320,7 @@ def asic_total_cfp(
     if len(chips) != len(apps):
         raise ValueError("need exactly one ASIC spec per application")
     runs = _runs(apps, chips, ChipKind.ASIC, params, {})
-    return CfpBreakdown.of(run_totals(runs, None, _hours(horizon)))
+    return CfpBreakdown.of(_Kernel(runs, None, _hours(horizon)).at(math.inf))
 
 
 def fpga_total_cfp(
@@ -265,7 +340,7 @@ def fpga_total_cfp(
         raise ValueError(f"{fpga.name}: expected an FPGA spec")
     terms = {fpga: ChipTerms(fpga, params)}
     runs = _runs(apps, [fpga] * len(apps), ChipKind.FPGA, params, terms)
-    return CfpBreakdown.of(run_totals(runs, terms[fpga], _hours(horizon)))
+    return CfpBreakdown.of(_Kernel(runs, terms[fpga], _hours(horizon)).at(math.inf))
 
 
 def cumulative_timeline(

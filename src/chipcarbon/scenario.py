@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .breakdown import CfpBreakdown
+from .breakdown import COMPONENTS, CfpBreakdown
 from .chips import ApplicationProfile, ChipKind, ChipSpec
 from .errors import ConsistencyError
-from .lifecycle import ChipTerms, asic_total_cfp, fpga_total_cfp, run_totals
+from .lifecycle import SampleTotals, asic_total_cfp, fpga_total_cfp
 from .params import ParameterSet
 from .quantities import Duration
 from .store import DomainTestcase, TestcaseLibrary
@@ -142,18 +142,10 @@ def _sample(scenario: Scenario, library: TestcaseLibrary) -> list:
             None if horizon is None else Duration.from_years(horizon).value]
 
 
-def _totals(sample: Sequence, fpga: ChipTerms,
-            asic: ChipTerms) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Both platforms' component kg of one plain sample, as (FPGA, ASIC)."""
-    n_app, lifetime_h, volume, size, horizon_h = sample
-    return (run_totals([(n_app, lifetime_h, volume, size, None, fpga)], fpga, horizon_h),
-            run_totals([(n_app, lifetime_h, volume, size, None, asic)], None, horizon_h))
-
-
-def _terms(domain: str, params: ParameterSet, library: TestcaseLibrary) -> tuple[ChipTerms, ...]:
-    """The (FPGA, ASIC) terms of a domain, built once per query."""
+def _totals(domain: str, params: ParameterSet, library: TestcaseLibrary) -> SampleTotals:
+    """The (FPGA, ASIC) totals of a domain's samples, built once per query."""
     testcase = library.domain(domain)
-    return ChipTerms(testcase.fpga, params), ChipTerms(testcase.asic, params)
+    return SampleTotals(testcase.fpga, testcase.asic, params)
 
 
 def evaluate_scenario(
@@ -161,7 +153,7 @@ def evaluate_scenario(
 ) -> tuple[CfpBreakdown, CfpBreakdown]:
     """Both platforms' totals for one scenario, as (FPGA, ASIC)."""
     sample = _sample(scenario, library)
-    fpga, asic = _totals(sample, *_terms(scenario.domain, params, library))
+    fpga, asic = _totals(scenario.domain, params, library)(*sample)
     return CfpBreakdown.of(fpga), CfpBreakdown.of(asic)
 
 
@@ -201,10 +193,10 @@ def _axis(fixed: Scenario, variable: SweepVariable, values: Sequence[float],
 def sweep(spec: SweepSpec, params: ParameterSet, library: TestcaseLibrary) -> list[SweepPoint]:
     """Evaluate both platforms at every sample of a one-dimensional sweep."""
     samples = _axis(spec.fixed, spec.variable, spec.values, library)
-    terms = _terms(spec.fixed.domain, params, library)
+    totals = _totals(spec.fixed.domain, params, library)
     points = []
     for value, sample in zip(spec.values, samples):
-        fpga, asic = _totals(sample, *terms)
+        fpga, asic = totals(*sample)
         points.append(SweepPoint(float(value), CfpBreakdown.of(fpga), CfpBreakdown.of(asic)))
     return points
 
@@ -224,23 +216,23 @@ def find_crossovers(
     """
     if len(points) < 2:
         return []
+    # each point's totals once, as floats: `sum` in COMPONENTS order is CfpBreakdown.total
+    totals = [tuple(sum(getattr(b, c).value for c in COMPONENTS) for b in (p.fpga, p.asic))
+              for p in points]
 
-    def fpga_favored(p: SweepPoint) -> bool:
-        diff = p.fpga.total.value - p.asic.total.value
-        scale = max(abs(p.fpga.total.value), abs(p.asic.total.value), 1.0)
-        return diff <= tie_rel_tol * scale
+    def fpga_favored(fpga: float, asic: float) -> bool:
+        return fpga - asic <= tie_rel_tol * max(abs(fpga), abs(asic), 1.0)
 
     crossovers = []
-    for left, right in zip(points, points[1:]):
-        lf, rf = fpga_favored(left), fpga_favored(right)
+    for i, (left, right) in enumerate(zip(points, points[1:])):
+        lf, rf = fpga_favored(*totals[i]), fpga_favored(*totals[i + 1])
         if lf == rf:
             continue
         kind = "A2F" if rf else "F2A"
         if variable is SweepVariable.NUM_APPS:
             value = right.value
         else:
-            dl = left.fpga.total.value - left.asic.total.value
-            dr = right.fpga.total.value - right.asic.total.value
+            dl, dr = totals[i][0] - totals[i][1], totals[i + 1][0] - totals[i + 1][1]
             if (dl <= 0.0) != (dr <= 0.0):
                 value = left.value + (right.value - left.value) * (-dl) / (dr - dl)
             else:
@@ -270,7 +262,7 @@ def heatmap(
     ys = _axis(fixed, y_variable, y_values[:1], library)
     xs = _axis(fixed, x_variable, x_values, library)
     ys += _axis(fixed, y_variable, y_values[1:], library)
-    terms = _terms(fixed.domain, params, library)
+    totals = _totals(fixed.domain, params, library)
     ix_field = _FIELD[x_variable]
     rows = []
     for y, sample in zip(y_values, ys):
@@ -278,7 +270,7 @@ def heatmap(
         row = []
         for x, x_sample in zip(x_values, xs):
             sample[ix_field] = x_sample[ix_field]
-            fpga, asic = (sum(b) for b in _totals(sample, *terms))  # as CfpBreakdown.total
+            fpga, asic = (sum(b) for b in totals(*sample))  # as CfpBreakdown.total
             if asic <= 0.0 or not math.isfinite(fpga / asic):
                 raise ConsistencyError(
                     f"non-finite or non-positive ratio at ({x_variable.value}={x}, "

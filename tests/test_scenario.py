@@ -351,6 +351,21 @@ class TestSharedEvaluationPath:
 
         assert count(2) == count(20) > 0
 
+    @pytest.mark.parametrize("option", sorted(SHARED_PARAMS))
+    def test_timing_once_per_row_and_volume_once_per_column(self, library, option,
+                                                            monkeypatch):
+        timings, volumes = [], []
+        timing, volume = lifecycle._Timing, lifecycle._volume
+        monkeypatch.setattr(lifecycle, "_Timing", lambda *a: timings.append(a) or timing(*a))
+        monkeypatch.setattr(lifecycle, "_volume", lambda *a: volumes.append(a) or volume(*a))
+        xs, ys = [0.0] + [1e3 * 3 ** i for i in range(8)], [float(k) for k in range(1, 13)]
+        grid = heatmap(SweepVariable.APP_VOLUME, xs, SweepVariable.NUM_APPS, ys,
+                       Scenario("DNN", **CENTER, horizon_years=31.0),
+                       params_with(SHARED_PARAMS[option]), library)
+        assert len(grid.cells) * len(grid.cells[0]) == len(ys) * len(xs)
+        assert len(timings) == len(ys)  # both platforms share a sample's timing part
+        assert len(volumes) == 2 * len(xs)  # one volume part per platform and column
+
     @pytest.mark.parametrize("variable, bad, message", [
         (SweepVariable.APP_LIFETIME, -1.0, "lifetime_years must be positive"),
         (SweepVariable.APP_LIFETIME, math.inf, "years must be finite"),
