@@ -20,11 +20,12 @@ import sys
 from dataclasses import replace
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .breakdown import COMPONENTS, CfpBreakdown
 from .chips import ChipKind
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, NonFiniteError, ParameterError
 from .lifecycle import cumulative_timeline
 from .quantities import HOURS_PER_YEAR, Duration, Power
 from .scenario import (
@@ -204,7 +205,13 @@ def _command(name: str, options: list):
     def register(fn):
         def run(params_path, out, fmt, **inputs):
             params, library = _load(params_path)
-            text = results = fn(params, library, inputs, fmt == "record")
+            try:
+                text = results = fn(params, library, inputs, fmt == "record")
+            except (NonFiniteError, OverflowError) as exc:
+                given = _given_flags(click.get_current_context())
+                if not given:
+                    raise
+                raise ParameterError(f"the model overflows at {', '.join(given)}: {exc}") from None
             if fmt == "record":
                 text = json.dumps({"tool": "chipcarbon", "version": __version__,
                                    "command": name, "inputs": inputs,
@@ -222,6 +229,17 @@ def _command(name: str, options: list):
             run = option(run)
         return cli.command(name=name, help=fn.__doc__)(run)
     return register
+
+
+def _given_flags(ctx: click.Context) -> list[str]:
+    """The subcommand's numeric and --sweep flags given on the command line, as parsed."""
+    given = []
+    for param in ctx.command.params:
+        if (param.name not in ("domain", "testcase", "out", "fmt")
+                and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
+            values = ctx.params[param.name] if param.multiple else (ctx.params[param.name],)
+            given += [f"{param.opts[0]} {v if isinstance(v, str) else _fmt(v)}" for v in values]
+    return given
 
 
 def _scenario(inputs: dict) -> Scenario:
@@ -375,6 +393,10 @@ def heatmap_cmd(params, library, inputs, record):
     return "\n".join(lines) + "\n"
 
 
+# grid steps a timeline may have: at most this many + 2 rows (README "Command line")
+TIMELINE_MAX_STEPS = 20_000
+
+
 @_command("timeline", [
     click.option("--domain", required=True),
     click.option("--lifetime", "lifetime_years", default=1.0, show_default=True, type=float,
@@ -386,6 +408,10 @@ def heatmap_cmd(params, library, inputs, record):
     click.option("--volume", default=1e6, show_default=True, type=float, callback=_units)])
 def timeline_cmd(params, library, inputs, record):
     """Cumulative carbon for both platforms out to a horizon."""
+    steps = inputs["horizon_years"] / inputs["step_years"]
+    if not steps <= TIMELINE_MAX_STEPS:  # the grid, and the output, grow with it
+        raise ParameterError(f"--horizon / --step must be at most {TIMELINE_MAX_STEPS}, got "
+                             f"{inputs['horizon_years']:g} / {inputs['step_years']:g}")
     inputs["apps"] = max(1, math.ceil(inputs["horizon_years"] / inputs["lifetime_years"]))
     testcase = library.domain(inputs["domain"])
     schedule = _scenario(inputs).schedule(testcase)  # the same applications as the sweeps

@@ -11,3 +11,7 @@ class ParameterError(ChipCarbonError):
 
 class ConsistencyError(ChipCarbonError):
     """An internal invariant (e.g. breakdown closure) failed; indicates a bug."""
+
+
+class NonFiniteError(ChipCarbonError, ValueError):
+    """A quantity is inf or nan; past the flags, that means a result overflowed."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteError
+
 HOURS_PER_YEAR = 8760.0
 # Dev-compute servers are modeled as drawing power around the clock, so a
 # project month is a calendar month (8760/12), not 160 work hours. Overridable
@@ -21,7 +23,7 @@ HOURS_PER_MONTH = HOURS_PER_YEAR / 12.0
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise NonFiniteError(f"{name} must be finite, got {value!r}")
 
 
 def _require_non_negative(name: str, value: float) -> None:

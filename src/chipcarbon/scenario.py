@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .breakdown import COMPONENTS, CfpBreakdown
 from .chips import ApplicationProfile, ChipKind, ChipSpec
-from .errors import ConsistencyError
+from .errors import ConsistencyError, NonFiniteError
 from .lifecycle import SampleTotals, asic_total_cfp, fpga_total_cfp
 from .params import ParameterSet
 from .quantities import Duration
@@ -271,6 +271,9 @@ def heatmap(
         for x, x_sample in zip(x_values, xs):
             sample[ix_field] = x_sample[ix_field]
             fpga, asic = (sum(b) for b in totals(*sample))  # as CfpBreakdown.total
+            if not (math.isfinite(fpga) and math.isfinite(asic)):  # as evaluate_scenario
+                bad = asic if math.isfinite(fpga) else fpga
+                raise NonFiniteError(f"CarbonMass must be finite, got {bad!r}")
             if asic <= 0.0 or not math.isfinite(fpga / asic):
                 raise ConsistencyError(
                     f"non-finite or non-positive ratio at ({x_variable.value}={x}, "

@@ -125,11 +125,22 @@ class Finding:
     message: str
 
 
+# libyaml's parser where PyYAML was built with it: the same documents, parsed several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse(stream: str | IO[str]) -> Any:
+    """One YAML document; a malformed one is a one-line `ParameterError`."""
+    try:
+        return yaml.load(stream, Loader=_LOADER)
+    except yaml.YAMLError as exc:
+        raise ParameterError(f"parameter document is not valid YAML: {' '.join(str(exc).split())}") from None
+
+
 @functools.cache
 def _parse_bundled(name: str) -> dict:
     """A bundled document, parsed once per process; callers must not modify it."""
-    text = resources.files("chipcarbon.data").joinpath(name).read_text(encoding="utf-8")
-    return yaml.safe_load(text)
+    return _parse(resources.files("chipcarbon.data").joinpath(name).read_text(encoding="utf-8"))
 
 
 def _check_keys(doc: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> None:
@@ -241,9 +252,9 @@ def load_parameters(source: str | IO[str] | None = None) -> ParameterSet:
         return _build(defaults)
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = _parse(fh)
     else:
-        raw = yaml.safe_load(source)
+        raw = _parse(source)
     if raw is None:
         raw = {}
     if not isinstance(raw, Mapping):

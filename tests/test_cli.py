@@ -381,6 +381,63 @@ class TestSweepRange:
         assert proc.stdout == eight
 
 
+class TestOverflow:
+    """A total past the float range is refused in one line naming the flags given."""
+
+    @pytest.mark.parametrize("args, named", [
+        (("compare", "--domain", "DNN", "--lifetime", "1e300"), "--lifetime 1e+300"),
+        (("estimate", "--testcase", "IndustryASIC1", "--volume", "1e300", "--apps", "1000"),
+         "--apps 1000, --volume 1e+300"),
+        (("compare", "--domain", "DNN", "--lifetime", "1e306"), "--lifetime 1e+306"),
+        (("compare", "--domain", "DNN", "--area-ratio", "1e305", "--power-ratio", "1"),
+         "--area-ratio 1e+305, --power-ratio 1"),
+        (("sweep", "--domain", "DNN", "--sweep", "AppLifetime:1:1e300:3"),
+         "--sweep AppLifetime:1:1e300:3"),
+        (("heatmap", "--domain", "DNN", "--sweep", "AppLifetime:1:1e300:3",
+          "--sweep", "NumApps:1:2:2"), "--sweep AppLifetime:1:1e300:3, --sweep NumApps:1:2:2"),
+        (("timeline", "--domain", "DNN", "--lifetime", "1e-300", "--horizon", "1e300",
+          "--step", "1e299"), "--lifetime 1e-300, --horizon 1e+300, --step 1e+299"),
+    ])
+    def test_names_the_flags(self, capsys, args, named):
+        code, out, err = run_main(capsys, *args)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: the model overflows at {named}: "), line
+
+
+class TestTimelineGrid:
+    @pytest.mark.parametrize("horizon, step", [("1e300", "1e-10"), ("1", "1e-300"),
+                                               ("20000.1", "1")])
+    def test_refused_above_the_step_limit(self, horizon, step):
+        # in a child with a capped address space: an unbounded grid must not reach the host
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                "from chipcarbon.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, "timeline", "--domain", "DNN",
+                               "--horizon", horizon, "--step", step],
+                              capture_output=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode().splitlines() == [
+            f"error: --horizon / --step must be at most 20000, got "
+            f"{float(horizon):g} / {float(step):g}"]
+
+    def test_the_limit_itself_is_accepted(self, capsys):
+        code, out, err = run_main(capsys, "timeline", "--domain", "DNN", "--horizon", "20000",
+                                  "--step", "1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 20001
+
+
+def test_malformed_params_document_is_one_line(capsys, tmp_path):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text("options: [1,\n")
+    code, out, err = run_main(capsys, "--params", str(doc), "compare", "--domain", "DNN")
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: parameter document is not valid YAML: ")
+
+
 TIMELINE_PARAMS = {
     "default": "",
     "reprogramming": "options:\n  replacement_reprogramming: true\n",

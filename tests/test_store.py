@@ -1,6 +1,7 @@
 import copy
 import io
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -284,6 +285,29 @@ class TestTestcaseLibrary:
 
     def test_fpga_lifetime_is_fifteen_years(self, library):
         assert library.domain("DNN").fpga.chip_lifetime.to_years() == 15.0
+
+
+class TestYamlLoaders:
+    """Documents parse to the same values with libyaml's loader and PyYAML's own."""
+
+    @pytest.mark.parametrize("name", ["defaults.yaml", "params_schema.yaml", "tech_nodes.yaml",
+                                      "testcases.yaml", "example_params.yaml"])
+    def test_c_and_python_loaders_agree(self, name):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if name == "example_params.yaml":
+            text = (Path(__file__).resolve().parents[1] / name).read_text(encoding="utf-8")
+        else:
+            text = resources.files("chipcarbon.data").joinpath(name).read_text(encoding="utf-8")
+        c_doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert c_doc  # repr also tells 1 from 1.0 and True from 1
+        assert repr(c_doc) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_malformed_document_is_one_line(self):
+        with pytest.raises(ParameterError) as info:
+            params_with("options: [1,\n")
+        assert str(info.value).startswith("parameter document is not valid YAML: ")
+        assert "\n" not in str(info.value)
 
 
 class TestSchemaFile:
