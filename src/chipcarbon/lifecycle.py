@@ -13,8 +13,15 @@ also how the sweep experiments are defined.
 A schedule is a sequence of `ApplicationProfile` entries, each standing for
 `count` identical applications; consecutive identical entries merge into one
 run. Every query evaluates closed-form slot and re-purchase counts per run, so
-its cost does not depend on how many applications a run holds. Boundary
-rules: an ASIC application is booked when it starts at or before the horizon;
+its cost does not depend on how many applications a run holds.
+
+A total splits into a timing part (`_Timing`: slot, elapsed-hour, purchase
+and swap counts from run counts, lifetimes, the horizon and the chip
+lifetime) and a volume part (`_volume`: device-scaled kg from volumes, sizes
+and chip terms). `_combine` books carbon from one of each, for totals and
+timeline rows alike. `SampleTotals` builds each part once per distinct key
+within a query, so a sweep sample or heatmap cell costs two `_combine` calls
+of a handful of multiply-adds. Boundary rules: an ASIC application is booked when it starts at or before the horizon;
 the fleet is re-bought at every multiple of the chip lifetime strictly before
 min(horizon, schedule end); a timeline row at t includes every event at t.
 """
@@ -22,7 +29,6 @@ min(horizon, schedule end); a timeline row at t includes every event at t.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple, Sequence
 
 from .breakdown import CfpBreakdown
@@ -70,11 +76,14 @@ def _last(origin: float, period: float, limit: float, strict: bool = False) -> f
     """
     if limit == math.inf:
         return math.inf
-    within = operator.lt if strict else operator.le
     k = math.floor((limit - origin) / period)
-    if within(origin + (k + 1) * period, limit):
+    if strict:
+        if origin + (k + 1) * period < limit:
+            return k + 1
+        return k if origin + k * period < limit else k - 1
+    if origin + (k + 1) * period <= limit:
         return k + 1
-    return k if within(origin + k * period, limit) else k - 1
+    return k if origin + k * period <= limit else k - 1
 
 
 class ChipTerms:
@@ -143,9 +152,10 @@ class _Timing:
     """The slot arithmetic of a schedule, from its run counts and lifetimes alone.
 
     `at(t)` counts, in closed form, what has happened by hour t: the fleet's
-    purchases (1 + re-purchases), each run's reprogramming swaps, and per run
-    the hours elapsed, the share of slots done (whole slots plus the partial
-    one) and the slots started. `period` is the FPGA chip lifetime in hours,
+    re-purchases, and per run the hours elapsed, the share of slots done
+    (whole slots plus the partial one) and the slots started. `swaps` holds,
+    per run, the re-purchases before it starts and before it ends; a
+    re-purchase between the two reloads the run's application. `period` is the FPGA chip lifetime in hours,
     or None for an ASIC schedule; the slot counts serve both platforms.
     """
 
@@ -169,24 +179,23 @@ class _Timing:
             self.replacements = max(0, _last(0.0, period, self.cutoff, strict=True))
 
     def at(self, t: float) -> tuple:
-        """(purchases, swaps per run, (elapsed hours, share, started) per run) by hour t."""
+        """(re-purchases, `swaps`, (elapsed hours, share, started) per run) by hour t."""
         until = min(t, self.cutoff)
-        replaced, swaps = 0, []
+        replaced = 0
         if self.period is not None:
             replaced = min(self.replacements, max(0, _last(0.0, self.period, t)))
-            swaps = [min(replaced, through) - min(replaced, before)
-                     for before, through in self.swaps]
         slots = []
         for start, lifetime_h, count in self.runs:
             k = _last(start, lifetime_h, until)  # the last slot started by `until`
-            done = max(0, min(count, k))
-            elapsed_h, share = done * lifetime_h, done
-            if 0 <= k < count:
+            if k >= count:  # every slot done (k may be inf)
+                slots.append((count * lifetime_h, count, count))
+            elif k < 0:  # none started
+                slots.append((0.0, 0, 0))
+            else:  # k slots done, slot k partly
                 slot_start = start + k * lifetime_h
-                elapsed_h += until - slot_start
-                share += (until - slot_start) / (start + (k + 1) * lifetime_h - slot_start)
-            slots.append((elapsed_h, share, max(0, min(count, k + 1))))
-        return 1 + replaced, swaps, slots
+                share = (until - slot_start) / (start + (k + 1) * lifetime_h - slot_start)
+                slots.append((k * lifetime_h + (until - slot_start), k + share, k + 1))
+        return replaced, self.swaps, slots
 
 
 def _volume(runs: Sequence[tuple], fleet: ChipTerms | None) -> tuple:
@@ -222,17 +231,18 @@ def _volume(runs: Sequence[tuple], fleet: ChipTerms | None) -> tuple:
     return (d, m * fleet_devices, p * fleet_devices, e * fleet_devices), swaps, rows
 
 
-def _combine(timing: tuple, fleet: tuple | None, swap_kg: Sequence[float],
-             rows: Sequence[tuple]) -> tuple[float, ...]:
+def _combine(timing: tuple, volume: tuple) -> tuple[float, ...]:
     """Component kg, in `COMPONENTS` order, of a timing part (`_Timing.at`) and a volume
     part (`_volume`) of the same schedule. Every total and timeline row is booked here."""
-    bought, swaps, slots = timing
+    replaced, swaps, slots = timing
+    fleet, swap_kg, rows = volume
     design = mfg = pkg = eol = app_dev = operational = 0.0
     if fleet is not None:
         design, m, p, e = fleet
+        bought = 1 + replaced
         mfg, pkg, eol = m * bought, p * bought, e * bought
-        for kg, n in zip(swap_kg, swaps):
-            app_dev += kg * n
+        for kg, (before, through) in zip(swap_kg, swaps):
+            app_dev += kg * (min(replaced, through) - min(replaced, before))
     for (rate, one_time, slot), (elapsed_h, share, started) in zip(rows, slots):
         operational += rate * elapsed_h / HOURS_PER_YEAR
         app_dev += one_time * share
@@ -259,7 +269,7 @@ class _Kernel:
         self.timing = _Timing([run[:2] for run in runs], period, horizon_h)
 
     def at(self, t: float) -> tuple[float, ...]:
-        return _combine(self.timing.at(t), *self.volume)
+        return _combine(self.timing.at(t), self.volume)
 
 
 class SampleTotals:
@@ -295,7 +305,7 @@ class SampleTotals:
             period = self.fpga.chip.chip_lifetime.value
             timing = self.timings[key] = _Timing([(n_app, lifetime_h)], period,
                                                  horizon_h).at(math.inf)
-        return _combine(timing, *volumes[0]), _combine(timing, *volumes[1])
+        return _combine(timing, volumes[0]), _combine(timing, volumes[1])
 
 
 def _hours(horizon: Duration | None) -> float | None:
