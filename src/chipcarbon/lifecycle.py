@@ -21,9 +21,12 @@ lifetime) and a volume part (`_volume`: device-scaled kg from volumes, sizes
 and chip terms). `_combine` books carbon from one of each, for totals and
 timeline rows alike. `SampleTotals` builds each part once per distinct key
 within a query, so a sweep sample or heatmap cell costs two `_combine` calls
-of a handful of multiply-adds. Boundary rules: an ASIC application is booked when it starts at or before the horizon;
-the fleet is re-bought at every multiple of the chip lifetime strictly before
-min(horizon, schedule end); a timeline row at t includes every event at t.
+of a handful of multiply-adds.
+
+Boundary rules: an ASIC application is booked when it starts at or before the
+horizon; the fleet is re-bought at every multiple of the chip lifetime
+strictly before min(horizon, schedule end); a timeline row at t includes
+every event at t.
 """
 
 from __future__ import annotations
@@ -153,10 +156,9 @@ class _Timing:
 
     `at(t)` counts, in closed form, what has happened by hour t: the fleet's
     re-purchases, and per run the hours elapsed, the share of slots done
-    (whole slots plus the partial one) and the slots started. `swaps` holds,
-    per run, the re-purchases before it starts and before it ends; a
-    re-purchase between the two reloads the run's application. `period` is the FPGA chip lifetime in hours,
-    or None for an ASIC schedule; the slot counts serve both platforms.
+    (whole slots plus the partial one) and the slots started. `period` is the
+    FPGA chip lifetime in hours, or None for an ASIC schedule; the slot
+    counts serve both platforms.
     """
 
     def __init__(self, slots: Sequence[tuple[int, float]], period: float | None,
@@ -232,8 +234,11 @@ def _volume(runs: Sequence[tuple], fleet: ChipTerms | None) -> tuple:
 
 
 def _combine(timing: tuple, volume: tuple) -> tuple[float, ...]:
-    """Component kg, in `COMPONENTS` order, of a timing part (`_Timing.at`) and a volume
-    part (`_volume`) of the same schedule. Every total and timeline row is booked here."""
+    """Component kg, in `COMPONENTS` order, of one schedule's timing and volume parts.
+
+    `timing` comes from `_Timing.at`, `volume` from `_volume`. Every total,
+    sweep sample, heatmap cell and timeline row is booked here.
+    """
     replaced, swaps, slots = timing
     fleet, swap_kg, rows = volume
     design = mfg = pkg = eol = app_dev = operational = 0.0

@@ -134,7 +134,8 @@ def _parse(stream: str | IO[str]) -> Any:
     try:
         return yaml.load(stream, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ParameterError(f"parameter document is not valid YAML: {' '.join(str(exc).split())}") from None
+        problem = " ".join(str(exc).split())
+        raise ParameterError(f"parameter document is not valid YAML: {problem}") from None
 
 
 @functools.cache
