@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,13 +7,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chipcarbon import quantities
+from chipcarbon import quantities, store
 from chipcarbon.breakdown import COMPONENTS
 from chipcarbon.chips import ChipKind
 from chipcarbon.cli import _parse_sweep, main
 from chipcarbon.lifecycle import _Kernel, cumulative_timeline
-from chipcarbon.quantities import HOURS_PER_YEAR, Duration
-from chipcarbon.scenario import Scenario
+from chipcarbon.quantities import HOURS_PER_YEAR, Duration, Power
+from chipcarbon.scenario import Scenario, evaluate_scenario
 
 from cli_env import cli_env
 from conftest import params_with
@@ -82,6 +83,24 @@ class TestCompare:
         assert record["parameters"]["operation"]["duty_cycle"] == 0.25
         assert record["version"]
         assert record["inputs"]["domain"] == "DNN"
+
+    def test_ratio_flags_equal_a_hand_derived_fpga(self, capsys, params, library):
+        tc = library.domain("DNN")
+        fpga = dataclasses.replace(tc.fpga, area_mm2=tc.asic.area_mm2 * 2.0,
+                                   peak_power=Power(tc.asic.peak_power.value * 2.5))
+        custom = store.TestcaseLibrary(domains={**library.domains,
+                                                "DNN": dataclasses.replace(tc, fpga=fpga)},
+                                       industry_chips=library.industry_chips)
+        expected = [b.as_dict() for b in evaluate_scenario(
+            Scenario("DNN", n_app=1, lifetime_years=2.0, volume=10**6), params, custom)]
+        code, out, err = run_main(capsys, "compare", "--domain", "DNN", "--area-ratio", "2",
+                                  "--power-ratio", "2.5", "--format", "record")
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        for platform, want in zip(("fpga", "asic"), expected):
+            assert {k: v.hex() for k, v in results[platform].items()} == {
+                k: v.hex() for k, v in want.items()}
+        assert results["ratio"].hex() == (expected[0]["total"] / expected[1]["total"]).hex()
 
 
 class TestSweepCommand:

@@ -258,8 +258,8 @@ class TestTestcaseLibrary:
         for name, (area, power) in expected.items():
             tc = library.domain(name)
             assert (tc.area_ratio, tc.power_ratio) == (area, power)
-            assert tc.fpga.area_mm2 == pytest.approx(tc.asic.area_mm2 * area)
-            assert tc.fpga.peak_power.value == pytest.approx(tc.asic.peak_power.value * power)
+            assert tc.fpga.area_mm2 == tc.asic.area_mm2 * area
+            assert tc.fpga.peak_power.value == tc.asic.peak_power.value * power
 
     def test_industry_fpga2_spec(self, library):
         chip = library.industry("IndustryFPGA2")
