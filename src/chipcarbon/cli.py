@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import replace
 
 import click
 from click.core import ParameterSource
@@ -26,8 +25,8 @@ from . import __version__
 from .breakdown import COMPONENTS, CfpBreakdown
 from .chips import ChipKind
 from .errors import ConsistencyError, NonFiniteError, ParameterError
-from .lifecycle import cumulative_timeline
-from .quantities import HOURS_PER_YEAR, Duration, Power
+from .lifecycle import TIMELINE_MAX_STEPS, cumulative_timeline
+from .quantities import HOURS_PER_YEAR, Duration
 from .scenario import (
     Scenario,
     SweepSpec,
@@ -136,8 +135,8 @@ def _distinct_rounded(sample, steps: int) -> list[int]:
 
 
 def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    """Option callback: refuse inf and nan at the flag that carries them."""
-    if value is not None and not math.isfinite(value):
+    """Option callback: refuse inf and nan at the flag that carries them (an int is finite)."""
+    if isinstance(value, float) and not math.isfinite(value):
         raise ParameterError(f"{param.opts[0]} must be a finite number, got {value!r}")
     return value
 
@@ -232,13 +231,17 @@ def _command(name: str, options: list):
 
 
 def _given_flags(ctx: click.Context) -> list[str]:
-    """The subcommand's numeric and --sweep flags given on the command line, as parsed."""
+    """The subcommand's numeric and --sweep flags given on the command line, as parsed.
+
+    An integer flag prints exactly: as a float, a huge one would overflow.
+    """
     given = []
     for param in ctx.command.params:
         if (param.name not in ("domain", "testcase", "out", "fmt")
                 and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
             values = ctx.params[param.name] if param.multiple else (ctx.params[param.name],)
-            given += [f"{param.opts[0]} {v if isinstance(v, str) else _fmt(v)}" for v in values]
+            exact = param.type in (click.STRING, click.INT)
+            given += [f"{param.opts[0]} {v if exact else _fmt(v)}" for v in values]
     return given
 
 
@@ -275,10 +278,7 @@ def compare(params, library, inputs, record):
     if (area_ratio is None) != (power_ratio is None):
         raise ParameterError("--area-ratio and --power-ratio must be given together")
     if area_ratio is not None:
-        base = library.domain(inputs["domain"])
-        fpga = replace(base.fpga, area_mm2=base.asic.area_mm2 * area_ratio,
-                       peak_power=Power.watts(base.asic.peak_power.value * power_ratio))
-        custom = replace(base, area_ratio=area_ratio, power_ratio=power_ratio, fpga=fpga)
+        custom = library.domain(inputs["domain"]).with_ratios(area_ratio, power_ratio)
         library = TestcaseLibrary(domains={**library.domains, inputs["domain"]: custom},
                                   industry_chips=library.industry_chips)
     fpga, asic = (_kg(b) for b in evaluate_scenario(_scenario(inputs), params, library))
@@ -306,8 +306,8 @@ def _kg(b: CfpBreakdown) -> list[float]:
 def _total(kg, rel_tol: float) -> float:
     """The total of one output row's kg (in `COMPONENTS` order), checked once.
 
-    An inf or nan component makes the sum non-finite; the error then names the
-    first bad value, as building the row's `CfpBreakdown` would. A sum that
+    An inf or nan component makes the sum non-finite; the `NonFiniteError` then
+    names the first bad value, as building the row's `CfpBreakdown` would. A sum that
     differs from the correctly rounded one by more than `rel_tol`
     (options.breakdown_rel_tol) plus the float rounding of the sum itself,
     one machine epsilon per addition, is an internal inconsistency.
@@ -315,7 +315,7 @@ def _total(kg, rel_tol: float) -> float:
     total = sum(kg)
     if not math.isfinite(total):
         bad = next((x for x in kg if not math.isfinite(x)), total)
-        raise ValueError(f"CarbonMass must be finite, got {bad!r}")
+        raise NonFiniteError(f"CarbonMass must be finite, got {bad!r}")
     exact = math.fsum(kg)
     rounding = (len(kg) - 1) * sys.float_info.epsilon
     if not math.isclose(total, exact, rel_tol=rel_tol + rounding, abs_tol=1e-12):
@@ -391,10 +391,6 @@ def heatmap_cmd(params, library, inputs, record):
         lines.append(f"# crossover,{grid.y_variable.value}={_fmt(y)},"
                      f"{grid.x_variable.value}={_fmt(x)}")
     return "\n".join(lines) + "\n"
-
-
-# grid steps a timeline may have: at most this many + 2 rows (README "Command line")
-TIMELINE_MAX_STEPS = 20_000
 
 
 @_command("timeline", [

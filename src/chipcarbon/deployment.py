@@ -15,8 +15,17 @@ def operational_cfp_per_year(power: Power, op: OperationParams,
     application lifetime.
     """
     duty = op.duty_cycle if duty_cycle is None else duty_cycle
-    annual_energy = power.energy_over(Duration.hours(HOURS_PER_YEAR), duty)
+    annual_energy = power.energy_over(Duration(HOURS_PER_YEAR), duty)
     return energy_to_carbon(annual_energy, op.use_grid_intensity)
+
+
+def _dev_hours(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) -> float:
+    if n_app < 0 or n_vol < 0:
+        raise ValueError("n_app and n_vol must be >= 0")
+    if kind is ChipKind.FPGA:
+        per_app = appdev.frontend_time.value + appdev.backend_time.value
+        return n_app * per_app + n_vol * appdev.config_time_fpga.value
+    return n_vol * appdev.config_time_asic.value
 
 
 def app_dev_time(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) -> Duration:
@@ -27,16 +36,15 @@ def app_dev_time(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) -
     configuration time: their front-end/back-end work already lives in the
     design phase.
     """
-    if n_app < 0 or n_vol < 0:
-        raise ValueError("n_app and n_vol must be >= 0")
-    if kind is ChipKind.FPGA:
-        per_app = appdev.frontend_time.value + appdev.backend_time.value
-        return Duration.hours(n_app * per_app + n_vol * appdev.config_time_fpga.value)
-    return Duration.hours(n_vol * appdev.config_time_asic.value)
+    return Duration(_dev_hours(kind, n_app, n_vol, appdev))
+
+
+def app_dev_kg(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) -> float:
+    """`app_dev_cfp` in plain floats: the one development formula, the kernel's too."""
+    hours = _dev_hours(kind, n_app, n_vol, appdev)
+    return appdev.dev_power.value * hours / 1000.0 * appdev.dev_grid_intensity.value
 
 
 def app_dev_cfp(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) -> CarbonMass:
     """Emissions of the CAD/CPU systems running for the development time."""
-    hours = app_dev_time(kind, n_app, n_vol, appdev)
-    return energy_to_carbon(appdev.dev_power.energy_over(hours), appdev.dev_grid_intensity)
-
+    return CarbonMass(app_dev_kg(kind, n_app, n_vol, appdev))

@@ -42,16 +42,15 @@ def materials_cfp(area_mm2: float, node: TechNodeParams, rho: float) -> CarbonMa
     return CarbonMass.kg(per_mm2 * area_mm2 / node.yield_fraction)
 
 
-def manufacturing_cfp(chip: ChipSpec, params: ParameterSet, rho: float | None = None) -> CarbonMass:
+def manufacturing_cfp(chip: ChipSpec, params: ParameterSet) -> CarbonMass:
     """Per-unit fab carbon: fab energy, direct process gases, and materials."""
     node = params.node(chip.node_nm)
-    if rho is None:
-        rho = params.materials.recycled_fraction
     effective_area = chip.area_mm2 / node.yield_fraction
     energy_and_gas = effective_area * (
         node.fab_intensity.value * node.energy_per_mm2 + node.gas_per_mm2
     )
-    return CarbonMass.kg(energy_and_gas) + materials_cfp(chip.area_mm2, node, rho)
+    return CarbonMass.kg(energy_and_gas) + materials_cfp(
+        chip.area_mm2, node, params.materials.recycled_fraction)
 
 
 def eol_cfp(chip: ChipSpec, eol: EolParams) -> CarbonMass:
@@ -71,7 +70,7 @@ def packaging_cfp(chip: ChipSpec) -> CarbonMass:
     return chip.package.carbon_per_package
 
 
-def unit_embodied_cfp(chip: ChipSpec, params: ParameterSet, rho: float | None = None) -> CarbonMass:
+def unit_embodied_cfp(chip: ChipSpec, params: ParameterSet) -> CarbonMass:
     """Manufacturing + packaging + EOL for a single manufactured device."""
-    return manufacturing_cfp(chip, params, rho) + packaging_cfp(chip) + eol_cfp(chip, params.eol)
+    return manufacturing_cfp(chip, params) + packaging_cfp(chip) + eol_cfp(chip, params.eol)
 

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .breakdown import CfpBreakdown
 from .chips import ApplicationProfile, ChipKind, ChipSpec
-from .deployment import operational_cfp_per_year
+from .deployment import app_dev_kg, operational_cfp_per_year
 from .embodied import design_cfp, eol_cfp, manufacturing_cfp, packaging_cfp
 from .params import ParameterSet
 from .quantities import Duration, HOURS_PER_YEAR
@@ -64,7 +64,7 @@ class TimelinePoint(NamedTuple):
 
     @property
     def time(self) -> Duration:
-        return Duration.hours(self.hours)
+        return Duration(self.hours)
 
     @property
     def cumulative(self) -> CfpBreakdown:
@@ -94,10 +94,10 @@ class ChipTerms:
 
     Design, and manufacturing, packaging and EOL per device, come from the
     unit functions; the operating rate per device-year from
-    `operational_cfp_per_year`, once per duty cycle; development kg from the
-    hour terms of `app_dev_time`, in `app_dev_cfp`'s operation order. So every
-    total built from these floats is bit-identical to one built through the
-    unit functions. Build one per chip and query and drop it with the query.
+    `operational_cfp_per_year`, once per duty cycle; development kg from
+    `app_dev_kg`, as `app_dev_cfp` books it. So every total built from these
+    floats is bit-identical to one built through the unit functions. Build one
+    per chip and query and drop it with the query.
     """
 
     def __init__(self, chip: ChipSpec, params: ParameterSet) -> None:
@@ -107,11 +107,7 @@ class ChipTerms:
                          eol_cfp(chip, params.eol).value)
         self._operation = params.operation
         self._rates: dict[float | None, float] = {}
-        a = params.appdev
-        fpga = chip.kind is ChipKind.FPGA
-        self.dev_hours_per_app = a.frontend_time.value + a.backend_time.value if fpga else 0.0
-        self.dev_hours_per_unit = (a.config_time_fpga if fpga else a.config_time_asic).value
-        self._dev_w, self._dev_grid = a.dev_power.value, a.dev_grid_intensity.value
+        self.appdev = params.appdev
         self.literal = params.options.appdev_scaling == "literal"
         self.reprogramming = params.options.replacement_reprogramming
 
@@ -121,10 +117,6 @@ class ChipTerms:
             self._rates[duty_cycle] = operational_cfp_per_year(
                 self.chip.peak_power, self._operation, duty_cycle).value
         return self._rates[duty_cycle]
-
-    def dev_kg(self, hours: float) -> float:
-        """Development kg of `hours` of dev-compute time."""
-        return self._dev_w * hours / 1000.0 * self._dev_grid
 
 
 def _runs(apps: Sequence[ApplicationProfile], chips: Sequence[ChipSpec], kind: ChipKind,
@@ -216,7 +208,7 @@ def _volume(runs: Sequence[tuple], fleet: ChipTerms | None) -> tuple:
         rate = one_time = 0.0  # a zero-volume application deploys nothing
         if volume:
             rate = terms.rate(duty) * devices
-            one_time = terms.dev_kg(terms.dev_hours_per_app + volume * terms.dev_hours_per_unit)
+            one_time = app_dev_kg(terms.chip.kind, 1, volume, terms.appdev)
             if terms.literal:
                 one_time = one_time * (lifetime_h / HOURS_PER_YEAR)
         slot = None
@@ -224,7 +216,7 @@ def _volume(runs: Sequence[tuple], fleet: ChipTerms | None) -> tuple:
             d, m, p, e = terms.embodied
             slot = (d, m * devices, p * devices, e * devices)
         elif fleet.reprogramming:
-            swaps.append(fleet.dev_kg(volume * fleet.dev_hours_per_unit))
+            swaps.append(app_dev_kg(ChipKind.FPGA, 0, volume, fleet.appdev))
         fleet_devices = max(fleet_devices, devices)  # the fleet hosts the largest run
         rows.append((rate, one_time, slot))
     if fleet is None:
@@ -264,11 +256,25 @@ def _combine(timing: tuple, volume: tuple) -> tuple[float, ...]:
 class _Kernel:
     """One platform's schedule as its volume and timing parts; `at(t)` combines them.
 
-    `fleet` is the terms of the FPGA fleet, or None for ASICs.
+    `chips` is the FPGA fleet's one spec, or the ASIC spec of every entry of
+    `apps` (one spec or one per entry). Every schedule query is set up here.
     """
 
-    def __init__(self, runs: Sequence[tuple], fleet: ChipTerms | None,
+    def __init__(self, kind: ChipKind, apps: Sequence[ApplicationProfile],
+                 chips: ChipSpec | Sequence[ChipSpec], params: ParameterSet,
                  horizon_h: float | None) -> None:
+        terms: dict[ChipSpec, ChipTerms] = {}
+        fleet = None
+        if kind is ChipKind.FPGA:
+            if not isinstance(chips, ChipSpec):
+                raise ValueError("an FPGA fleet is one chip spec, not one per application")
+            if chips.kind is not kind:
+                raise ValueError(f"{chips.name}: expected an FPGA spec")
+            fleet = terms[chips] = ChipTerms(chips, params)
+        chips = [chips] * len(apps) if isinstance(chips, ChipSpec) else chips
+        if len(chips) != len(apps):
+            raise ValueError("need exactly one ASIC spec per application")
+        runs = _runs(apps, chips, kind, params, terms)
         self.volume = _volume(runs, fleet)
         period = None if fleet is None else fleet.chip.chip_lifetime.value
         self.timing = _Timing([run[:2] for run in runs], period, horizon_h)
@@ -331,11 +337,8 @@ def asic_total_cfp(
     out, the one straddling it accrues pro-rata. An entry of `apps` stands for
     its `count` identical applications and takes one ASIC spec.
     """
-    chips = [asic_per_app] * len(apps) if isinstance(asic_per_app, ChipSpec) else asic_per_app
-    if len(chips) != len(apps):
-        raise ValueError("need exactly one ASIC spec per application")
-    runs = _runs(apps, chips, ChipKind.ASIC, params, {})
-    return CfpBreakdown.of(_Kernel(runs, None, _hours(horizon)).at(math.inf))
+    kernel = _Kernel(ChipKind.ASIC, apps, asic_per_app, params, _hours(horizon))
+    return CfpBreakdown.of(kernel.at(math.inf))
 
 
 def fpga_total_cfp(
@@ -351,11 +354,11 @@ def fpga_total_cfp(
     when a horizon is given). Per-application costs are operation and
     development.
     """
-    if fpga.kind is not ChipKind.FPGA:
-        raise ValueError(f"{fpga.name}: expected an FPGA spec")
-    terms = {fpga: ChipTerms(fpga, params)}
-    runs = _runs(apps, [fpga] * len(apps), ChipKind.FPGA, params, terms)
-    return CfpBreakdown.of(_Kernel(runs, terms[fpga], _hours(horizon)).at(math.inf))
+    return CfpBreakdown.of(_Kernel(ChipKind.FPGA, apps, fpga, params, _hours(horizon)).at(math.inf))
+
+
+# grid steps a timeline may have: at most this many + 2 rows (README "Library")
+TIMELINE_MAX_STEPS = 20_000
 
 
 def cumulative_timeline(
@@ -372,19 +375,15 @@ def cumulative_timeline(
     embodied carbon books as steps, at application starts for ASICs and at
     purchase/replacement instants for the FPGA fleet. The grid always ends
     exactly on the horizon, so the final point reproduces the total queries.
+    `chips` is as for the totals: the fleet's one spec, or the ASIC specs.
     """
     if step.value <= 0:
         raise ValueError("step must be positive")
-    chip_list = [chips] * len(apps) if isinstance(chips, ChipSpec) else chips
-    if len(chip_list) != len(apps):
-        raise ValueError("need exactly one chip spec per application")
-    fleet = None
-    terms: dict[ChipSpec, ChipTerms] = {}
-    if kind is ChipKind.FPGA and chip_list:
-        fleet = terms[chip_list[0]] = ChipTerms(chip_list[0], params)
-    kernel = _Kernel(_runs(apps, chip_list, kind, params, terms), fleet, horizon.value)
-
+    if not horizon.value / step.value <= TIMELINE_MAX_STEPS:  # checked before any allocation
+        raise ValueError(f"horizon / step must be at most {TIMELINE_MAX_STEPS}, got "
+                         f"{horizon.value:g} h / {step.value:g} h")
+    kernel = _Kernel(kind, apps, chips, params, horizon.value)
     grid = [k * step.value for k in range(math.floor(horizon.value / step.value) + 1)]
-    if not grid or grid[-1] < horizon.value:
+    if grid[-1] < horizon.value:
         grid.append(horizon.value)
     return [TimelinePoint(t, kernel.at(t)) for t in grid]

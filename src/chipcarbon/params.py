@@ -7,7 +7,7 @@ All fields are in canonical units (kg CO2e, kWh, W, hours). The loader in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .quantities import CarbonIntensity, CarbonMass, Duration, Energy, Power
 
@@ -147,7 +147,7 @@ class OperationParams:
 
 @dataclass(frozen=True)
 class Options:
-    """Behavioral switches and numeric tolerances.
+    """Behavioral switches and numeric tolerances; defaults live in data/defaults.yaml.
 
     appdev_scaling:
         "one_time" books application development once per application;
@@ -161,11 +161,11 @@ class Options:
         default so replacement steps are purely embodied.
     """
 
-    appdev_scaling: str = "one_time"
-    hours_per_dev_month: float = 730.0
-    replacement_reprogramming: bool = False
-    breakdown_rel_tol: float = 1e-9
-    crossover_tie_rel_tol: float = 1e-9
+    appdev_scaling: str
+    hours_per_dev_month: float
+    replacement_reprogramming: bool
+    breakdown_rel_tol: float
+    crossover_tie_rel_tol: float
 
     def __post_init__(self) -> None:
         if self.appdev_scaling not in ("one_time", "literal"):
@@ -185,8 +185,8 @@ class ParameterSet:
     materials: MaterialsParams
     appdev: AppDevParams
     operation: OperationParams
-    options: Options = field(default_factory=Options)
-    provenance: dict[str, str] = field(default_factory=dict)
+    options: Options
+    provenance: dict[str, str]
 
     def node(self, node_nm: int) -> TechNodeParams:
         try:

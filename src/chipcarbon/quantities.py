@@ -32,7 +32,7 @@ def _require_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CarbonMass:
     """Mass of CO2-equivalent emissions in kilograms.
 
@@ -51,23 +51,11 @@ class CarbonMass:
         _require_non_negative("CarbonMass", value)
         return cls(value)
 
-    @classmethod
-    def zero(cls) -> "CarbonMass":
-        return cls(0.0)
-
     def __add__(self, other: "CarbonMass") -> "CarbonMass":
         return CarbonMass(self.value + other.value)
 
-    def __sub__(self, other: "CarbonMass") -> "CarbonMass":
-        return CarbonMass(self.value - other.value)
 
-    def __mul__(self, k: float) -> "CarbonMass":
-        return CarbonMass(self.value * k)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Energy:
     """Electric energy in kilowatt-hours."""
 
@@ -77,15 +65,11 @@ class Energy:
         _require_non_negative("Energy", self.value)
 
     @classmethod
-    def kwh(cls, value: float) -> "Energy":
-        return cls(value)
-
-    @classmethod
     def from_gwh(cls, value: float) -> "Energy":
         return cls(value * 1e6)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CarbonIntensity:
     """Carbon intensity of an energy source in kg CO2e per kWh.
 
@@ -106,7 +90,7 @@ class CarbonIntensity:
         return self.value * 1000.0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Power:
     """Electrical power in watts (TDP / peak power for chips)."""
 
@@ -115,10 +99,6 @@ class Power:
     def __post_init__(self) -> None:
         _require_non_negative("Power", self.value)
 
-    @classmethod
-    def watts(cls, value: float) -> "Power":
-        return cls(value)
-
     def energy_over(self, duration: "Duration", duty_cycle: float = 1.0) -> Energy:
         """Energy drawn while running at `duty_cycle` of peak for `duration`."""
         if not 0.0 <= duty_cycle <= 1.0:
@@ -126,7 +106,7 @@ class Power:
         return Energy(self.value * duty_cycle * duration.value / 1000.0)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Duration:
     """A span of time in hours."""
 
@@ -134,10 +114,6 @@ class Duration:
 
     def __post_init__(self) -> None:
         _require_non_negative("Duration", self.value)
-
-    @classmethod
-    def hours(cls, value: float) -> "Duration":
-        return cls(value)
 
     @classmethod
     def from_years(cls, years: float) -> "Duration":
@@ -151,14 +127,6 @@ class Duration:
 
     def to_years(self) -> float:
         return self.value / HOURS_PER_YEAR
-
-    def __add__(self, other: "Duration") -> "Duration":
-        return Duration(self.value + other.value)
-
-    def __mul__(self, k: float) -> "Duration":
-        return Duration(self.value * k)
-
-    __rmul__ = __mul__
 
 
 def energy_to_carbon(energy: Energy, intensity: CarbonIntensity) -> CarbonMass:

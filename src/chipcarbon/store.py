@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, IO, Mapping
 
@@ -321,11 +321,15 @@ class DomainTestcase:
     """Iso-performance platform pair for one application domain."""
 
     domain: str
-    area_ratio: float
-    power_ratio: float
     asic: ChipSpec
     fpga: ChipSpec
     default_app_size_gates: int
+
+    def with_ratios(self, area_ratio: float, power_ratio: float) -> "DomainTestcase":
+        """This pair with its FPGA's area and power set to the ASIC's times the ratios."""
+        fpga = replace(self.fpga, area_mm2=self.asic.area_mm2 * area_ratio,
+                       peak_power=Power(self.asic.peak_power.value * power_ratio))
+        return replace(self, fpga=fpga)
 
 
 @dataclass(frozen=True)
@@ -348,6 +352,20 @@ class TestcaseLibrary:
             raise KeyError(f"unknown testcase {name!r} (available: {known})") from None
 
 
+def _chip(name: str, kind: ChipKind, entry: Mapping[str, Any], package: PackageParams) -> ChipSpec:
+    """One chip entry of testcases.yaml: a domain's `baseline_asic` or an industry device."""
+    return ChipSpec(
+        name=name,
+        kind=kind,
+        area_mm2=float(entry["area_mm2"]),
+        peak_power=Power(float(entry["power_w"])),
+        gates=int(entry["gates"]),
+        node_nm=int(entry["node_nm"]),
+        package=package,
+        chip_lifetime=Duration.from_years(float(entry["lifetime_years"])),
+    )
+
+
 def builtin_testcases(params: ParameterSet | None = None) -> TestcaseLibrary:
     """The bundled testcase library (domain pairs and industry chips)."""
     if params is None:
@@ -356,46 +374,12 @@ def builtin_testcases(params: ParameterSet | None = None) -> TestcaseLibrary:
 
     domains: dict[str, DomainTestcase] = {}
     for name, tc in doc["domains"].items():
-        base = tc["baseline_asic"]
-        asic = ChipSpec(
-            name=f"{name}-ASIC",
-            kind=ChipKind.ASIC,
-            area_mm2=float(base["area_mm2"]),
-            peak_power=Power.watts(float(base["power_w"])),
-            gates=int(base["gates"]),
-            node_nm=int(base["node_nm"]),
-            package=params.package,
-            chip_lifetime=Duration.from_years(float(base["lifetime_years"])),
-        )
-        fpga = ChipSpec(
-            name=f"{name}-FPGA",
-            kind=ChipKind.FPGA,
-            area_mm2=asic.area_mm2 * float(tc["area_ratio"]),
-            peak_power=Power.watts(asic.peak_power.value * float(tc["power_ratio"])),
-            gates=int(tc["fpga_capacity_gates"]),
-            node_nm=asic.node_nm,
-            package=params.package,
-            chip_lifetime=Duration.from_years(float(tc["fpga_lifetime_years"])),
-        )
-        domains[name] = DomainTestcase(
-            domain=name,
-            area_ratio=float(tc["area_ratio"]),
-            power_ratio=float(tc["power_ratio"]),
-            asic=asic,
-            fpga=fpga,
-            default_app_size_gates=int(tc["default_app_size_gates"]),
-        )
-
-    industry: dict[str, ChipSpec] = {}
-    for name, tc in doc["industry"].items():
-        industry[name] = ChipSpec(
-            name=name,
-            kind=ChipKind[tc["kind"]],
-            area_mm2=float(tc["area_mm2"]),
-            peak_power=Power.watts(float(tc["power_w"])),
-            gates=int(tc["gates"]),
-            node_nm=int(tc["node_nm"]),
-            package=params.package,
-            chip_lifetime=Duration.from_years(float(tc["lifetime_years"])),
-        )
+        asic = _chip(f"{name}-ASIC", ChipKind.ASIC, tc["baseline_asic"], params.package)
+        fpga = replace(asic, name=f"{name}-FPGA", kind=ChipKind.FPGA,
+                       gates=int(tc["fpga_capacity_gates"]),
+                       chip_lifetime=Duration.from_years(float(tc["fpga_lifetime_years"])))
+        base = DomainTestcase(name, asic, fpga, int(tc["default_app_size_gates"]))
+        domains[name] = base.with_ratios(float(tc["area_ratio"]), float(tc["power_ratio"]))
+    industry = {name: _chip(name, ChipKind[tc["kind"]], tc, params.package)
+                for name, tc in doc["industry"].items()}
     return TestcaseLibrary(domains=domains, industry_chips=industry)

@@ -104,18 +104,18 @@ def test_criterion2_hand_fixtures():
 
     eol = EolParams(0.3, 2.08, 29.83, 0.05)
     from chipcarbon.chips import ChipSpec
-    chip = ChipSpec("fixture", ChipKind.ASIC, 200.0, Power.watts(1.0), int(1e8), 10,
+    chip = ChipSpec("fixture", ChipKind.ASIC, 200.0, Power(1.0), int(1e8), 10,
                     PackageParams(CarbonMass.kg(0.15)), Duration.from_years(8.0))
     if not _close(eol_cfp(chip, eol).value, -0.07493, 1e-9):
         failures.append("eol -74.93 g")
 
     op = OperationParams(0.5, CarbonIntensity(0.4))
-    if not _close(operational_cfp_per_year(Power.watts(70.0), op).value, 122.64, 1e-9):
+    if not _close(operational_cfp_per_year(Power(70.0), op).value, 122.64, 1e-9):
         failures.append("operational 122.64")
 
     appdev = AppDevParams(Duration.from_months(2.0), Duration.from_months(1.0),
-                          Duration.hours(0.1), Duration.hours(0.0),
-                          Power.watts(500.0), CarbonIntensity(0.4))
+                          Duration(0.1), Duration(0.0),
+                          Power(500.0), CarbonIntensity(0.4))
     if not _close(app_dev_time(ChipKind.FPGA, 3, 10_000, appdev).value, 7570.0, 1e-9):
         failures.append("app-dev 7570 h")
     if not _close(app_dev_cfp(ChipKind.FPGA, 3, 10_000, appdev).value, 1514.0, 1e-9):

@@ -7,7 +7,7 @@ from chipcarbon.quantities import CarbonMass, Duration, Power
 
 def _spec(**overrides):
     base = dict(
-        name="chip", kind=ChipKind.ASIC, area_mm2=100.0, peak_power=Power.watts(10.0),
+        name="chip", kind=ChipKind.ASIC, area_mm2=100.0, peak_power=Power(10.0),
         gates=1_000_000, node_nm=10, package=PackageParams(CarbonMass.kg(0.15)),
         chip_lifetime=Duration.from_years(8.0),
     )
@@ -29,7 +29,7 @@ class TestChipSpecInvariants:
 
     def test_zero_lifetime_rejected(self):
         with pytest.raises(ValueError, match="lifetime"):
-            _spec(chip_lifetime=Duration.hours(0.0))
+            _spec(chip_lifetime=Duration(0.0))
 
 
 class TestApplicationProfileInvariants:
@@ -48,7 +48,7 @@ class TestApplicationProfileInvariants:
 
     def test_zero_lifetime_rejected(self):
         with pytest.raises(ValueError, match="lifetime"):
-            self._app(lifetime=Duration.hours(0.0))
+            self._app(lifetime=Duration(0.0))
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError, match="size_gates"):

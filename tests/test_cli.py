@@ -423,6 +423,13 @@ class TestOverflow:
         [line] = err.splitlines()
         assert line.startswith(f"error: the model overflows at {named}: "), line
 
+    def test_a_huge_integer_flag_is_named_exactly(self, capsys):
+        apps = "1" + "0" * 400  # beyond the float range: the flag must print without one
+        code, out, err = run_main(capsys, "compare", "--domain", "DNN", "--apps", apps)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: the model overflows at --apps {apps}: "), line
+
 
 class TestTimelineGrid:
     @pytest.mark.parametrize("horizon, step", [("1e300", "1e-10"), ("1", "1e-300"),
@@ -584,4 +591,4 @@ class TestTimelineRows:
         code, out, err = run_main(capsys, "timeline", "--domain", "DNN", "--horizon", "20",
                                   "--format", fmt)
         assert (code, out) == (1, "")
-        assert err.splitlines() == [f"error: {message}"]
+        assert err.splitlines() == [f"error: the model overflows at --horizon 20: {message}"]

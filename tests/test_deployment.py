@@ -19,36 +19,36 @@ OP = OperationParams(duty_cycle=0.5, use_grid_intensity=CarbonIntensity(0.4))
 APPDEV = AppDevParams(
     frontend_time=Duration.from_months(2.0),
     backend_time=Duration.from_months(1.0),
-    config_time_fpga=Duration.hours(0.1),
-    config_time_asic=Duration.hours(0.0),
-    dev_power=Power.watts(500.0),
+    config_time_fpga=Duration(0.1),
+    config_time_asic=Duration(0.0),
+    dev_power=Power(500.0),
     dev_grid_intensity=CarbonIntensity(0.4),
 )
 
 
 class TestOperationalRate:
     def test_zero_duty(self):
-        assert operational_cfp_per_year(Power.watts(70.0), OP, duty_cycle=0.0).value == 0.0
+        assert operational_cfp_per_year(Power(70.0), OP, duty_cycle=0.0).value == 0.0
 
     def test_hand_fixture_70w(self):
         # 70 W x 0.5 x 8760 h = 306.6 kWh/yr; x 0.4 kg/kWh = 122.64 kg/yr
-        rate = operational_cfp_per_year(Power.watts(70.0), OP)
+        rate = operational_cfp_per_year(Power(70.0), OP)
         assert math.isclose(rate.value, 122.64, rel_tol=1e-9)
 
     def test_hand_fixture_220w(self):
-        rate = operational_cfp_per_year(Power.watts(220.0), OP)
+        rate = operational_cfp_per_year(Power(220.0), OP)
         assert math.isclose(rate.value, 385.44, rel_tol=1e-9)
-        assert rate.value > operational_cfp_per_year(Power.watts(70.0), OP).value
+        assert rate.value > operational_cfp_per_year(Power(70.0), OP).value
 
     @given(st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.floats(0.0, 10.0))
     def test_bilinear_in_power_and_duty(self, watts, duty, k):
-        base = operational_cfp_per_year(Power.watts(watts), OP, duty).value
+        base = operational_cfp_per_year(Power(watts), OP, duty).value
         assert math.isclose(
-            operational_cfp_per_year(Power.watts(watts * k), OP, duty).value,
+            operational_cfp_per_year(Power(watts * k), OP, duty).value,
             base * k, rel_tol=1e-9, abs_tol=1e-9)
         if duty * k <= 1.0:
             assert math.isclose(
-                operational_cfp_per_year(Power.watts(watts), OP, duty * k).value,
+                operational_cfp_per_year(Power(watts), OP, duty * k).value,
                 base * k, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -78,7 +78,7 @@ class TestAppDevCfp:
         assert math.isclose(c.value, 1514.0, rel_tol=1e-9)
 
     def test_zero_dev_power(self):
-        quiet = dataclasses.replace(APPDEV, dev_power=Power.watts(0.0))
+        quiet = dataclasses.replace(APPDEV, dev_power=Power(0.0))
         assert app_dev_cfp(ChipKind.FPGA, 3, 1000, quiet).value == 0.0
 
     def test_linear_in_n_app(self):

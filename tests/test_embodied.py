@@ -39,7 +39,7 @@ def _design_house(total=20000, project=100, avg_gates=int(1e8), years=2.0):
 def _chip(area=200.0, node=10, gates=int(1e8), kind=ChipKind.ASIC, power=1.0,
           package_kg=0.15, params=None):
     return ChipSpec(
-        name="test-chip", kind=kind, area_mm2=area, peak_power=Power.watts(power),
+        name="test-chip", kind=kind, area_mm2=area, peak_power=Power(power),
         gates=gates, node_nm=node, package=PackageParams(CarbonMass.kg(package_kg)),
         chip_lifetime=Duration.from_years(8.0),
     )

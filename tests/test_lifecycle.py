@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from chipcarbon.embodied import (
     unit_embodied_cfp,
 )
 from chipcarbon.lifecycle import (
+    TIMELINE_MAX_STEPS,
     asic_total_cfp,
     cumulative_timeline,
     fpga_total_cfp,
@@ -24,6 +27,7 @@ from chipcarbon.lifecycle import (
 from chipcarbon.quantities import HOURS_PER_YEAR, Duration
 from chipcarbon.scenario import Scenario, evaluate_scenario
 
+from cli_env import cli_env
 from conftest import params_with
 from oracle import oracle_asic_total, oracle_fpga_total, oracle_timeline, slots
 
@@ -201,13 +205,13 @@ class TestTimeline:
         tc = library.domain("DNN")
         apps = _apps(3, years=1.0, volume=1000, size=tc.default_app_size_gates)
         tl = cumulative_timeline(ChipKind.FPGA, apps, tc.fpga, params,
-                                 Duration.hours(0.0), Duration.from_years(1.0))
+                                 Duration(0.0), Duration.from_years(1.0))
         assert len(tl) == 1
         emb = _embodied_kg(tc.fpga, 1000, params)
         assert math.isclose(tl[0].cumulative.total.value, emb, rel_tol=1e-12)
 
         atl = cumulative_timeline(ChipKind.ASIC, apps, tc.asic, params,
-                                  Duration.hours(0.0), Duration.from_years(1.0))
+                                  Duration(0.0), Duration.from_years(1.0))
         first_emb = _embodied_kg(tc.asic, 1000, params)
         assert math.isclose(atl[0].cumulative.total.value, first_emb, rel_tol=1e-12)
 
@@ -248,7 +252,7 @@ class TestTimeline:
         tc = library.domain("DNN")
         with pytest.raises(ValueError):
             cumulative_timeline(ChipKind.FPGA, _apps(1), tc.fpga, params,
-                                Duration.from_years(1.0), Duration.hours(0.0))
+                                Duration.from_years(1.0), Duration(0.0))
 
     def test_replacement_reprogramming_option(self, library):
         params = params_with("options:\n  replacement_reprogramming: true\n")
@@ -277,6 +281,7 @@ def _draw_schedule(data, library, max_runs, max_len):
     """A heterogeneous schedule: runs of identical applications, volumes <= 1000.
 
     The FPGA's chip lifetime is drawn too, so that short schedules see re-purchases.
+    The schedule may be empty.
     """
     tc = library.domain(data.draw(st.sampled_from(["DNN", "ImgProc", "Crypto"])))
     chip_years = data.draw(st.sampled_from([None, 0.75, 1.0, 2.5, 3.3]))
@@ -284,7 +289,7 @@ def _draw_schedule(data, library, max_runs, max_len):
         fpga = dataclasses.replace(tc.fpga, chip_lifetime=Duration.from_years(chip_years))
         tc = dataclasses.replace(tc, fpga=fpga)
     apps = []
-    for r in range(data.draw(st.integers(1, max_runs))):
+    for r in range(data.draw(st.integers(0, max_runs))):
         years = data.draw(LIFETIMES)
         volume = data.draw(st.integers(0, 1000))
         scale = data.draw(st.sampled_from([None, 0.5, 1.0, 2.5]))
@@ -297,14 +302,14 @@ def _draw_schedule(data, library, max_runs, max_len):
 
 def _draw_horizon(data, tc, apps):
     """No horizon, a typed one, or one on a slot start, a slot end or a re-purchase."""
-    spans = slots(apps, [tc.asic] * len(apps))
-    end_years = spans[-1][1] / HOURS_PER_YEAR
+    bounds = [s / HOURS_PER_YEAR for span in slots(apps, [tc.asic] * len(apps)) for s in span]
+    first = apps[0].lifetime.to_years() if apps else 1.0
     life = tc.fpga.chip_lifetime.to_years()
     return data.draw(st.one_of(
         st.none(),
-        st.floats(0.0, 1.2 * end_years),
-        st.sampled_from([s / HOURS_PER_YEAR for span in spans for s in span]),
-        st.integers(0, len(apps)).map(lambda k: k * apps[0].lifetime.to_years()),
+        st.floats(0.0, 1.2 * (bounds[-1] if bounds else life)),
+        st.sampled_from(bounds or [0.0]),
+        st.integers(0, len(apps)).map(lambda k: k * first),
         st.integers(1, 3).map(lambda k: k * life),
     ))
 
@@ -356,15 +361,15 @@ class TestChipTerms:
                     devices = volume * (1 if chip is tc.asic
                                         else n_fpga_required(app.size_gates, chip.gates))
                     rate = operational_cfp_per_year(chip.peak_power, params.operation,
-                                                    duty) * devices
-                    one_time = app_dev_cfp(chip.kind, 1, volume, params.appdev)
+                                                    duty).value * devices
+                    one_time = app_dev_cfp(chip.kind, 1, volume, params.appdev).value
                     if params.options.appdev_scaling == "literal":
                         one_time = one_time * app.lifetime.to_years()
                     expected = (design_cfp(params.design, chip.gates).value,
                                 manufacturing_cfp(chip, params).value * devices,
                                 packaging_cfp(chip).value * devices,
-                                eol_cfp(chip, params.eol).value * devices, one_time.value,
-                                rate.value * app.lifetime.value / HOURS_PER_YEAR)
+                                eol_cfp(chip, params.eol).value * devices, one_time,
+                                rate * app.lifetime.value / HOURS_PER_YEAR)
                     got = total([app], chip, params).as_dict()
                     assert [got[c].hex() for c in COMPONENTS] == [x.hex() for x in expected]
 
@@ -415,11 +420,51 @@ class TestClosedFormKernel:
 
     def test_run_checks_its_workload(self):
         for bad in (dict(count=-1), dict(size_gates=0), dict(duty_cycle=1.5),
-                    dict(volume=-1), dict(lifetime=Duration.hours(0.0))):
+                    dict(volume=-1), dict(lifetime=Duration(0.0))):
             fields = dict(name="run", count=2, lifetime=Duration.from_years(1.0), volume=10,
                           size_gates=100, duty_cycle=None)
             with pytest.raises(ValueError):
                 ApplicationProfile(**{**fields, **bad})
+
+    def test_fpga_fleet_is_one_spec(self, params, library):
+        apps = _apps(2, size=library.domain("DNN").default_app_size_gates)
+        fleets = [library.domain("DNN").fpga, library.domain("ImgProc").fpga]
+        years = Duration.from_years(4.0), Duration.from_years(1.0)
+        for query in (lambda: fpga_total_cfp(apps, fleets, params),
+                      lambda: cumulative_timeline(ChipKind.FPGA, apps, fleets, params, *years)):
+            with pytest.raises(ValueError, match="one chip spec"):
+                query()
+
+    def test_empty_fpga_timeline_books_the_fleet_design(self, params, library):
+        fpga = library.domain("DNN").fpga
+        rows = cumulative_timeline(ChipKind.FPGA, [], fpga, params, Duration.from_years(2.0),
+                                   Duration.from_years(1.0))
+        total = fpga_total_cfp([], fpga, params).as_dict()
+        assert total["design"] > 0
+        assert [row.kg for row in rows] == [tuple(total[c] for c in COMPONENTS)] * 3
+
+    @pytest.mark.parametrize("horizon, step", [(1e300, 1e-10), (1.0, 1e-300)])
+    def test_timeline_grid_is_bounded(self, horizon, step):
+        # in a child with a capped address space: an unbounded grid must not reach the host
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                "from chipcarbon import *\n"
+                "params = load_parameters()\n"
+                "tc = builtin_testcases(params).domain('DNN')\n"
+                "apps = [ApplicationProfile('a', tc.default_app_size_gates,\n"
+                "                           Duration.from_years(1.0), 1000)]\n"
+                f"grid = Duration.from_years({horizon!r}), Duration.from_years({step!r})\n"
+                "for kind, chip in ((ChipKind.ASIC, tc.asic), (ChipKind.FPGA, tc.fpga)):\n"
+                "    try:\n"
+                "        cumulative_timeline(kind, apps, chip, params, *grid)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(),
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        h, s = horizon * HOURS_PER_YEAR, step * HOURS_PER_YEAR
+        assert proc.stdout.decode().splitlines() == [
+            f"horizon / step must be at most {TIMELINE_MAX_STEPS}, got {h:g} h / {s:g} h"] * 2
 
     def test_timeline_checks_chip_kind(self, params, library):
         tc = library.domain("DNN")

@@ -17,10 +17,10 @@ finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
 
 
 def test_energy_to_carbon_fixtures():
-    assert energy_to_carbon(Energy.kwh(0.0), CarbonIntensity(0.4)).value == 0.0
-    assert math.isclose(energy_to_carbon(Energy.kwh(306.6), CarbonIntensity(0.4)).value,
+    assert energy_to_carbon(Energy(0.0), CarbonIntensity(0.4)).value == 0.0
+    assert math.isclose(energy_to_carbon(Energy(306.6), CarbonIntensity(0.4)).value,
                         122.64, rel_tol=1e-9)
-    assert math.isclose(energy_to_carbon(Energy.kwh(7.3e6), CarbonIntensity(0.4)).value,
+    assert math.isclose(energy_to_carbon(Energy(7.3e6), CarbonIntensity(0.4)).value,
                         2.92e6, rel_tol=1e-9)
 
 
@@ -41,9 +41,9 @@ def test_years_round_trip(years):
 @given(finite_nonneg, st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=0.0, max_value=1e3))
 def test_energy_to_carbon_bilinear(kwh, ci, k):
-    base = energy_to_carbon(Energy.kwh(kwh), CarbonIntensity(ci)).value
-    scaled_e = energy_to_carbon(Energy.kwh(kwh * k), CarbonIntensity(ci)).value
-    scaled_ci = energy_to_carbon(Energy.kwh(kwh), CarbonIntensity(ci * k)).value
+    base = energy_to_carbon(Energy(kwh), CarbonIntensity(ci)).value
+    scaled_e = energy_to_carbon(Energy(kwh * k), CarbonIntensity(ci)).value
+    scaled_ci = energy_to_carbon(Energy(kwh), CarbonIntensity(ci * k)).value
     assert math.isclose(scaled_e, base * k, rel_tol=1e-9, abs_tol=1e-9)
     assert math.isclose(scaled_ci, base * k, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -72,10 +72,10 @@ def test_negative_rejected_outside_eol_path():
 
 
 def test_power_energy_over_duty():
-    e = Power.watts(70.0).energy_over(Duration.from_years(1.0), duty_cycle=0.5)
+    e = Power(70.0).energy_over(Duration.from_years(1.0), duty_cycle=0.5)
     assert math.isclose(e.value, 306.6, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        Power.watts(1.0).energy_over(Duration.hours(1.0), duty_cycle=1.5)
+        Power(1.0).energy_over(Duration(1.0), duty_cycle=1.5)
 
 
 def test_month_constructor_uses_dev_month():

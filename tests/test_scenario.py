@@ -116,7 +116,7 @@ class TestFindCrossovers:
         from chipcarbon.scenario import SweepPoint
 
         def bd(total):
-            z = CarbonMass.zero()
+            z = CarbonMass(0.0)
             return CfpBreakdown(CarbonMass(total), z, z, z, z, z)
 
         # tie -> ASIC-favored reads as F2A (the tie sample already counts as
@@ -134,7 +134,7 @@ class TestFindCrossovers:
         from chipcarbon.scenario import SweepPoint
 
         def bd(total):
-            z = CarbonMass.zero()
+            z = CarbonMass(0.0)
             return CfpBreakdown(CarbonMass(total), z, z, z, z, z)
 
         # left diff is +1e-12 relative (inside the tie band, counted as FPGA);
