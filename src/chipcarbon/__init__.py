@@ -30,14 +30,7 @@ from .params import (
     ParameterSet,
     TechNodeParams,
 )
-from .quantities import (
-    CarbonIntensity,
-    CarbonMass,
-    Duration,
-    Energy,
-    Power,
-    energy_to_carbon,
-)
+from .quantities import CarbonIntensity, CarbonMass, Duration, Energy, Power
 from .scenario import (
     CrossoverPoint,
     RatioGrid,

@@ -103,20 +103,26 @@ def _parse_sweep(text: str) -> tuple[SweepVariable, tuple[float, ...]]:
             return start
         x = lo + i * (hi - lo) / (steps - 1)
         return 10 ** x if log else x
+    # An axis, like a timeline, is at most TIMELINE_MAX_STEPS rows: build one more at most.
     if variable in (SweepVariable.NUM_APPS, SweepVariable.APP_VOLUME):
-        return variable, tuple(sorted(float(n) for n in _distinct_rounded(sample, steps)))
-    return variable, tuple(map(sample, range(steps)))
+        values = sorted(float(n) for n in _distinct_rounded(sample, steps, TIMELINE_MAX_STEPS))
+    else:
+        values = list(map(sample, range(min(steps, TIMELINE_MAX_STEPS + 1))))
+    if len(values) > TIMELINE_MAX_STEPS:
+        raise ParameterError(
+            f"--sweep must give at most {TIMELINE_MAX_STEPS} samples, got more from {text!r}")
+    return variable, tuple(values)
 
 
-def _distinct_rounded(sample, steps: int) -> list[int]:
+def _distinct_rounded(sample, steps: int, limit: int) -> list[int]:
     """The distinct values of round(sample(i)) over range(steps), for a monotone `sample`.
 
     Equal rounded values then sit at consecutive indices, so each one costs a
     galloping search for the end of its run: the work grows with the number of
-    distinct values (times a log), not with `steps`.
+    distinct values (times a log), not with `steps`. It stops past `limit` values.
     """
     found, i = [], 0
-    while i < steps:
+    while i < steps and len(found) <= limit:
         value = round(sample(i))
         found.append(value)
         same, jump = i, 1  # round(sample(same)) == value; find the first index past the run
@@ -378,6 +384,10 @@ def heatmap_cmd(params, library, inputs, record):
         raise ParameterError("heatmap needs exactly two --sweep axes")
     inputs["x"], inputs["y"] = inputs.pop("sweep")
     (x_var, x_values), (y_var, y_values) = map(_parse_sweep, (inputs["x"], inputs["y"]))
+    if len(x_values) * len(y_values) > TIMELINE_MAX_STEPS:
+        raise ParameterError(
+            f"--sweep axes must give at most {TIMELINE_MAX_STEPS} heatmap cells, got "
+            f"{len(x_values)} x {len(y_values)} from {inputs['x']!r} and {inputs['y']!r}")
     grid = heatmap(x_var, x_values, y_var, y_values, _scenario(inputs), params, library)
     if record:
         return {"x_values": list(grid.x_values), "y_values": list(grid.y_values),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .chips import ChipKind
 from .params import AppDevParams, OperationParams
-from .quantities import CarbonMass, Duration, Power, energy_to_carbon, HOURS_PER_YEAR
+from .quantities import HOURS_PER_YEAR, CarbonMass, Duration, Energy, Power
 
 
 def operational_cfp_per_year(power: Power, op: OperationParams,
@@ -15,8 +15,10 @@ def operational_cfp_per_year(power: Power, op: OperationParams,
     application lifetime.
     """
     duty = op.duty_cycle if duty_cycle is None else duty_cycle
-    annual_energy = power.energy_over(Duration(HOURS_PER_YEAR), duty)
-    return energy_to_carbon(annual_energy, op.use_grid_intensity)
+    if not 0.0 <= duty <= 1.0:
+        raise ValueError(f"duty_cycle must be in [0, 1], got {duty!r}")
+    annual_energy = Energy(power.value * duty * HOURS_PER_YEAR / 1000.0)
+    return CarbonMass(annual_energy.value * op.use_grid_intensity.value)
 
 
 def _dev_hours(kind: ChipKind, n_app: int, n_vol: int, appdev: AppDevParams) -> float:

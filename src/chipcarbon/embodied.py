@@ -22,12 +22,11 @@ def design_cfp(design: DesignHouseParams, chip_gates: int) -> CarbonMass:
     """
     if chip_gates < 1:
         raise ValueError("chip_gates must be >= 1")
-    per_employee_year = design.carbon_per_employee_year()
+    per_employee_year = (design.annual_energy.value * design.grid_intensity.value
+                         / design.total_employees)
     gate_ratio = chip_gates / design.avg_gates_per_chip
     years = design.project_duration.to_years()
-    return CarbonMass.kg(
-        per_employee_year.value * design.project_employees * gate_ratio * years
-    )
+    return CarbonMass.kg(per_employee_year * design.project_employees * gate_ratio * years)
 
 
 def materials_cfp(area_mm2: float, node: TechNodeParams, rho: float) -> CarbonMass:

@@ -357,7 +357,8 @@ def fpga_total_cfp(
     return CfpBreakdown.of(_Kernel(ChipKind.FPGA, apps, fpga, params, _hours(horizon)).at(math.inf))
 
 
-# grid steps a timeline may have: at most this many + 2 rows (README "Library")
+# grid steps a timeline may have: at most this many + 2 rows (README "Library");
+# the command line also caps a sweep axis's samples and a heatmap's cells at it
 TIMELINE_MAX_STEPS = 20_000
 
 

@@ -38,12 +38,6 @@ class DesignHouseParams:
         if self.project_duration.value <= 0:
             raise ValueError("project_duration must be positive")
 
-    def carbon_per_employee_year(self) -> CarbonMass:
-        """House-wide annual emissions divided over the full headcount."""
-        return CarbonMass.kg(
-            self.annual_energy.value * self.grid_intensity.value / self.total_employees
-        )
-
 
 @dataclass(frozen=True)
 class TechNodeParams:

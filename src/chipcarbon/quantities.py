@@ -2,9 +2,11 @@
 
 Internal math runs in one canonical unit system: kilograms of CO2-equivalent,
 kilowatt-hours, watts, and hours. Configuration files speak human units
-(g CO2/kWh, GWh, months, years, metric tons CO2e per ton); those are converted
-at the boundary by the constructors below so that no model formula ever mixes
-units.
+(g CO2/kWh, GWh, months, years, metric tons CO2e per ton); the parameter loader
+converts those once, through its unit table (`store._UNITS`), so no model
+formula ever mixes units. The only named conversions here are for the
+command-line and scenario boundary: `CarbonMass.kg` and `Duration.from_years`
+/ `to_years`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from dataclasses import dataclass
 from .errors import NonFiniteError
 
 HOURS_PER_YEAR = 8760.0
-# Dev-compute servers are modeled as drawing power around the clock, so a
-# project month is a calendar month (8760/12), not 160 work hours. Overridable
-# through options.hours_per_dev_month.
-HOURS_PER_MONTH = HOURS_PER_YEAR / 12.0
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -64,10 +62,6 @@ class Energy:
     def __post_init__(self) -> None:
         _require_non_negative("Energy", self.value)
 
-    @classmethod
-    def from_gwh(cls, value: float) -> "Energy":
-        return cls(value * 1e6)
-
 
 @dataclass(frozen=True)
 class CarbonIntensity:
@@ -82,13 +76,6 @@ class CarbonIntensity:
     def __post_init__(self) -> None:
         _require_non_negative("CarbonIntensity", self.value)
 
-    @classmethod
-    def from_g_per_kwh(cls, value: float) -> "CarbonIntensity":
-        return cls(value / 1000.0)
-
-    def to_g_per_kwh(self) -> float:
-        return self.value * 1000.0
-
 
 @dataclass(frozen=True)
 class Power:
@@ -98,12 +85,6 @@ class Power:
 
     def __post_init__(self) -> None:
         _require_non_negative("Power", self.value)
-
-    def energy_over(self, duration: "Duration", duty_cycle: float = 1.0) -> Energy:
-        """Energy drawn while running at `duty_cycle` of peak for `duration`."""
-        if not 0.0 <= duty_cycle <= 1.0:
-            raise ValueError(f"duty_cycle must be in [0, 1], got {duty_cycle!r}")
-        return Energy(self.value * duty_cycle * duration.value / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -120,15 +101,5 @@ class Duration:
         _require_non_negative("years", years)
         return cls(years * HOURS_PER_YEAR)
 
-    @classmethod
-    def from_months(cls, months: float, hours_per_month: float = HOURS_PER_MONTH) -> "Duration":
-        _require_non_negative("months", months)
-        return cls(months * hours_per_month)
-
     def to_years(self) -> float:
         return self.value / HOURS_PER_YEAR
-
-
-def energy_to_carbon(energy: Energy, intensity: CarbonIntensity) -> CarbonMass:
-    """Emissions from consuming `energy` on a grid with the given intensity."""
-    return CarbonMass(energy.value * intensity.value)

@@ -145,7 +145,7 @@ def _parse_bundled(name: str) -> dict:
 
 
 def _check_keys(doc: Mapping[str, Any], allowed: tuple[str, ...], path: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
+    unknown = sorted(set(doc) - set(allowed), key=str)  # keys may mix str and int
     if unknown:
         raise ParameterError(
             f"{path}: unknown key(s) {', '.join(map(repr, unknown))}; "
@@ -264,21 +264,19 @@ def load_parameters(source: str | IO[str] | None = None) -> ParameterSet:
     return _build(_merge(defaults, raw))
 
 
-def _document_value(unit: str | None, value: Any, month: float) -> Any:
-    """A canonical attribute value back in its document unit."""
-    if unit is None:
-        return value
-    _, mul, div = _UNITS[unit]
-    return value.value * div / (month if mul is None else mul)
-
-
 def serialize(params: ParameterSet) -> dict:
     """Render a ParameterSet back into document form (human units)."""
     month = params.options.hours_per_dev_month
 
     def fields(owner, rows) -> dict:
-        return {key: _document_value(unit, getattr(owner, attr), month)
-                for key, attr, _, unit, _, _ in rows}
+        doc = {}
+        for key, attr, _, unit, _, _ in rows:
+            value = getattr(owner, attr)
+            if unit is not None:  # the inverse of `_field`'s conversion
+                _, mul, div = _UNITS[unit]
+                value = value.value * div / (month if mul is None else mul)
+            doc[key] = value
+        return doc
 
     doc = {section: ({nm: fields(n, rows) for nm, n in sorted(params.nodes.items())}
                      if section == "nodes" else fields(getattr(params, section), rows))
@@ -294,15 +292,15 @@ def validate(params: ParameterSet) -> list[Finding]:
     quantities) are rejected earlier, at load time, with their field paths;
     this pass reports values that are legal but outside the published ranges
     (warnings) or carbon intensities above the plausibility ceiling (errors,
-    in place of a warning).
+    in place of a warning). It reads the `serialize` form, in document units.
     """
-    month = params.options.hours_per_dev_month
-    owners = [(s, getattr(params, s), rows) for s, rows in _CHECKED.items() if s != "nodes"]
-    owners += [(f"nodes.{nm}", n, _CHECKED["nodes"]) for nm, n in sorted(params.nodes.items())]
+    doc = serialize(params)
+    owners = [(s, doc[s], rows) for s, rows in _CHECKED.items() if s != "nodes"]
+    owners += [(f"nodes.{nm}", fields, _CHECKED["nodes"]) for nm, fields in doc["nodes"].items()]
     findings: list[Finding] = []
-    for prefix, owner, rows in owners:
-        for key, attr, _, unit, _, published in rows:
-            value = _document_value(unit, getattr(owner, attr), month)
+    for prefix, fields, rows in owners:
+        for key, _, _, unit, _, published in rows:
+            value = fields[key]
             if unit == "g/kWh" and value > _INTENSITY_CEILING_G_PER_KWH:
                 findings.append(Finding(
                     "error", f"{prefix}.{key}",

@@ -96,7 +96,7 @@ def test_criterion2_hand_fixtures():
     failures = []
 
     house = DesignHouseParams(
-        annual_energy=Energy.from_gwh(7.3), grid_intensity=CarbonIntensity(0.4),
+        annual_energy=Energy(7.3 * 1e6), grid_intensity=CarbonIntensity(0.4),
         total_employees=20000, project_employees=100, avg_gates_per_chip=int(1e8),
         project_duration=Duration.from_years(2.0))
     if not _close(design_cfp(house, int(1e8)).value, 29_200.0, 1e-9):
@@ -113,7 +113,7 @@ def test_criterion2_hand_fixtures():
     if not _close(operational_cfp_per_year(Power(70.0), op).value, 122.64, 1e-9):
         failures.append("operational 122.64")
 
-    appdev = AppDevParams(Duration.from_months(2.0), Duration.from_months(1.0),
+    appdev = AppDevParams(Duration(2.0 * 730.0), Duration(1.0 * 730.0),
                           Duration(0.1), Duration(0.0),
                           Power(500.0), CarbonIntensity(0.4))
     if not _close(app_dev_time(ChipKind.FPGA, 3, 10_000, appdev).value, 7570.0, 1e-9):

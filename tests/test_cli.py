@@ -11,6 +11,7 @@ from chipcarbon import quantities, store
 from chipcarbon.breakdown import COMPONENTS
 from chipcarbon.chips import ChipKind
 from chipcarbon.cli import _parse_sweep, main
+from chipcarbon.errors import ParameterError
 from chipcarbon.lifecycle import _Kernel, cumulative_timeline
 from chipcarbon.quantities import HOURS_PER_YEAR, Duration, Power
 from chipcarbon.scenario import Scenario, evaluate_scenario
@@ -261,6 +262,17 @@ class TestInProcessMain:
         assert [r() for r in refs] == [None] * len(refs)
 
 
+def run_capped(*args):
+    """`main(args)` in a child with a 512 MB address space: a grid too large to
+    build fails fast there instead of reaching the host."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from chipcarbon.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, env=cli_env(), timeout=60)
+
+
 def run_main(capsys, *args):
     """`main` in this process: (exit code, stdout, stderr)."""
     try:
@@ -382,22 +394,57 @@ class TestSweepRange:
             stop = start
         steps = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 100_000)))
         spec = f"AppVolume:{start!r}:{stop!r}:{steps}" + (":log" if log else "")
-        assert _parse_sweep(spec)[1] == _old_integer_samples(start, stop, steps, log)
-        assert _parse_sweep("NumApps" + spec[len("AppVolume"):])[1] == _parse_sweep(spec)[1]
+        expected = _old_integer_samples(start, stop, steps, log)
+        for axis_spec in (spec, "NumApps" + spec[len("AppVolume"):]):
+            if len(expected) > 20_000:
+                with pytest.raises(ParameterError, match="^--sweep must give at most 20000 "):
+                    _parse_sweep(axis_spec)
+            else:
+                assert _parse_sweep(axis_spec)[1] == expected
 
     def test_huge_step_count_costs_its_distinct_samples(self):
-        # in a child with a capped address space, so a regression fails fast
-        # instead of allocating 1e11 samples on the host
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-                "from chipcarbon.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        proc = subprocess.run([sys.executable, "-c", code, "sweep", "--domain", "DNN",
-                               "--sweep", "NumApps:1:8:100000000000"],
-                              capture_output=True, env=cli_env(), timeout=60)
+        proc = run_capped("sweep", "--domain", "DNN", "--sweep", "NumApps:1:8:100000000000")
         assert proc.returncode == 0, proc.stderr.decode()[-500:]
         eight = run_cli("sweep", "--domain", "DNN", "--sweep", "NumApps:1:8:8").stdout
         assert proc.stdout == eight
+
+
+class TestSweepGrid:
+    """An axis gives at most 20,000 samples and a heatmap at most 20,000 cells."""
+
+    @pytest.mark.parametrize("args, line", [
+        (("sweep", "--sweep", "AppLifetime:1:2:100000000"),
+         "--sweep must give at most 20000 samples, got more from 'AppLifetime:1:2:100000000'"),
+        (("sweep", "--sweep", "NumApps:1:1000000000:1000000000"),
+         "--sweep must give at most 20000 samples, got more from "
+         "'NumApps:1:1000000000:1000000000'"),
+        (("sweep", "--sweep", "NumApps:1:20001:20001"),
+         "--sweep must give at most 20000 samples, got more from 'NumApps:1:20001:20001'"),
+        (("heatmap", "--sweep", "NumApps:1:3000:3000", "--sweep", "AppVolume:1:3000:3000"),
+         "--sweep axes must give at most 20000 heatmap cells, got 3000 x 3000 from "
+         "'NumApps:1:3000:3000' and 'AppVolume:1:3000:3000'"),
+        (("heatmap", "--sweep", "NumApps:1:100:100", "--sweep", "AppVolume:1:201:201"),
+         "--sweep axes must give at most 20000 heatmap cells, got 100 x 201 from "
+         "'NumApps:1:100:100' and 'AppVolume:1:201:201'"),
+    ])
+    def test_refused_above_the_limit(self, args, line):
+        proc = run_capped(args[0], "--domain", "DNN", *args[1:])
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode().splitlines() == [f"error: {line}"]
+
+    @pytest.mark.parametrize("spec", ["AppLifetime:1:2:20000", "NumApps:1:20000:20000"])
+    def test_a_sweep_at_the_limit_is_accepted(self, capsys, spec):
+        code, out, err = run_main(capsys, "sweep", "--domain", "DNN", "--sweep", spec)
+        assert (code, err) == (0, "")
+        rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+        assert len(rows) == 20_000
+
+    def test_a_heatmap_at_the_limit_is_accepted(self, capsys):
+        code, out, err = run_main(capsys, "heatmap", "--domain", "DNN", "--sweep",
+                                  "NumApps:1:100:100", "--sweep", "AppVolume:1:200:200")
+        assert (code, err) == (0, "")
+        cells = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+        assert len(cells) == 20_000
 
 
 class TestOverflow:
@@ -435,14 +482,7 @@ class TestTimelineGrid:
     @pytest.mark.parametrize("horizon, step", [("1e300", "1e-10"), ("1", "1e-300"),
                                                ("20000.1", "1")])
     def test_refused_above_the_step_limit(self, horizon, step):
-        # in a child with a capped address space: an unbounded grid must not reach the host
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-                "from chipcarbon.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        proc = subprocess.run([sys.executable, "-c", code, "timeline", "--domain", "DNN",
-                               "--horizon", horizon, "--step", step],
-                              capture_output=True, env=cli_env(), timeout=60)
+        proc = run_capped("timeline", "--domain", "DNN", "--horizon", horizon, "--step", step)
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr.decode().splitlines() == [
             f"error: --horizon / --step must be at most 20000, got "
@@ -462,6 +502,20 @@ def test_malformed_params_document_is_one_line(capsys, tmp_path):
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert line.startswith("error: parameter document is not valid YAML: ")
+
+
+@pytest.mark.parametrize("doc, path", [
+    ("1: 2\nfoo: 3\n", "document"),
+    ("design:\n  1: 2\n  foo: 3\n", "design"),
+    ("nodes:\n  10:\n    1: 2\n    foo: 3\n", "nodes.10"),
+])
+def test_unknown_keys_of_mixed_types_are_one_line(capsys, tmp_path, doc, path):
+    params = tmp_path / "mixed.yaml"
+    params.write_text(doc)
+    code, out, err = run_main(capsys, "--params", str(params), "compare", "--domain", "DNN")
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {path}: unknown key(s) 1, 'foo'; accepted: "), line
 
 
 TIMELINE_PARAMS = {

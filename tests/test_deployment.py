@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from chipcarbon.chips import ApplicationProfile, ChipKind
@@ -17,8 +18,8 @@ from chipcarbon.quantities import CarbonIntensity, Duration, Power
 OP = OperationParams(duty_cycle=0.5, use_grid_intensity=CarbonIntensity(0.4))
 
 APPDEV = AppDevParams(
-    frontend_time=Duration.from_months(2.0),
-    backend_time=Duration.from_months(1.0),
+    frontend_time=Duration(2.0 * 730.0),
+    backend_time=Duration(1.0 * 730.0),
     config_time_fpga=Duration(0.1),
     config_time_asic=Duration(0.0),
     dev_power=Power(500.0),
@@ -40,16 +41,21 @@ class TestOperationalRate:
         assert math.isclose(rate.value, 385.44, rel_tol=1e-9)
         assert rate.value > operational_cfp_per_year(Power(70.0), OP).value
 
-    @given(st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.floats(0.0, 10.0))
-    def test_bilinear_in_power_and_duty(self, watts, duty, k):
-        base = operational_cfp_per_year(Power(watts), OP, duty).value
-        assert math.isclose(
-            operational_cfp_per_year(Power(watts * k), OP, duty).value,
-            base * k, rel_tol=1e-9, abs_tol=1e-9)
+    def test_duty_outside_unit_interval_refused(self):
+        with pytest.raises(ValueError, match=r"^duty_cycle must be in \[0, 1\], got 1\.5$"):
+            operational_cfp_per_year(Power(1.0), OP, duty_cycle=1.5)
+
+    @given(st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(0.0, 10.0))
+    def test_linear_in_power_duty_and_grid_intensity(self, watts, duty, grid, k):
+        op = OperationParams(0.5, CarbonIntensity(grid))
+        base = operational_cfp_per_year(Power(watts), op, duty).value
+        scaled = [operational_cfp_per_year(Power(watts * k), op, duty).value,
+                  operational_cfp_per_year(
+                      Power(watts), OperationParams(0.5, CarbonIntensity(grid * k)), duty).value]
         if duty * k <= 1.0:
-            assert math.isclose(
-                operational_cfp_per_year(Power(watts), OP, duty * k).value,
-                base * k, rel_tol=1e-9, abs_tol=1e-9)
+            scaled.append(operational_cfp_per_year(Power(watts), op, duty * k).value)
+        for value in scaled:
+            assert math.isclose(value, base * k, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestAppDevTime:

@@ -27,7 +27,7 @@ from chipcarbon.quantities import CarbonIntensity, CarbonMass, Duration, Energy,
 
 def _design_house(total=20000, project=100, avg_gates=int(1e8), years=2.0):
     return DesignHouseParams(
-        annual_energy=Energy.from_gwh(7.3),
+        annual_energy=Energy(7.3 * 1e6),
         grid_intensity=CarbonIntensity(0.4),
         total_employees=total,
         project_employees=project,
@@ -70,7 +70,7 @@ class TestDesignCfp:
             design_cfp(d, 0)
         with pytest.raises(ValueError):
             DesignHouseParams(
-                annual_energy=Energy.from_gwh(2.0), grid_intensity=CarbonIntensity(0.4),
+                annual_energy=Energy(2.0 * 1e6), grid_intensity=CarbonIntensity(0.4),
                 total_employees=0, project_employees=0, avg_gates_per_chip=1,
                 project_duration=Duration.from_years(1.0),
             )
