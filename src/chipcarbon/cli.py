@@ -105,13 +105,14 @@ def _parse_sweep(text: str) -> tuple[SweepVariable, tuple[float, ...]]:
         return 10 ** x if log else x
     # An axis, like a timeline, is at most TIMELINE_MAX_STEPS rows: build one more at most.
     if variable in (SweepVariable.NUM_APPS, SweepVariable.APP_VOLUME):
-        values = sorted(float(n) for n in _distinct_rounded(sample, steps, TIMELINE_MAX_STEPS))
+        values = tuple(sorted(
+            float(n) for n in _distinct_rounded(sample, steps, TIMELINE_MAX_STEPS)))
     else:
-        values = list(map(sample, range(min(steps, TIMELINE_MAX_STEPS + 1))))
+        values = tuple(map(sample, range(min(steps, TIMELINE_MAX_STEPS + 1))))
     if len(values) > TIMELINE_MAX_STEPS:
         raise ParameterError(
             f"--sweep must give at most {TIMELINE_MAX_STEPS} samples, got more from {text!r}")
-    return variable, tuple(values)
+    return variable, values
 
 
 def _distinct_rounded(sample, steps: int, limit: int) -> list[int]:
