@@ -518,6 +518,32 @@ def test_unknown_keys_of_mixed_types_are_one_line(capsys, tmp_path, doc, path):
     assert line.startswith(f"error: {path}: unknown key(s) 1, 'foo'; accepted: "), line
 
 
+class TestParamsEnvironment:
+    """`$CHIPCARBON_PARAMS` names the parameter document when `--params` is not given."""
+
+    def _duty(self, capsys, *args):
+        code, out, err = run_main(capsys, *args, "compare", "--domain", "DNN", "--format", "record")
+        assert (code, err) == (0, "")
+        return json.loads(out)["parameters"]["operation"]["duty_cycle"]
+
+    def _doc(self, tmp_path, name, duty):
+        doc = tmp_path / name
+        doc.write_text(f"operation:\n  duty_cycle: {duty}\n")
+        return str(doc)
+
+    def test_the_variable_names_the_document(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("CHIPCARBON_PARAMS", self._doc(tmp_path, "env.yaml", 0.5))
+        assert self._duty(capsys) == 0.5
+
+    def test_the_flag_wins_over_the_variable(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("CHIPCARBON_PARAMS", self._doc(tmp_path, "env.yaml", 0.5))
+        assert self._duty(capsys, "--params", self._doc(tmp_path, "flag.yaml", 0.75)) == 0.75
+
+    def test_an_empty_value_means_the_bundled_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHIPCARBON_PARAMS", "")
+        assert self._duty(capsys) == 0.25
+
+
 TIMELINE_PARAMS = {
     "default": "",
     "reprogramming": "options:\n  replacement_reprogramming: true\n",
