@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
-
-import click
-from click.core import ParameterSource
 
 from . import __version__
 from .breakdown import COMPONENTS, CfpBreakdown
@@ -45,13 +43,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _load(params_path: str | None):
-    params = load_parameters(params_path)
+def _load(params_path: str | None, source: str):
+    try:
+        params = load_parameters(params_path)
+    except OSError as exc:
+        raise ParameterError(f"{source}: cannot read {params_path!r}: {exc.strerror}") from None
     findings = validate(params)
     errors = [f for f in findings if f.severity == "error"]
     for f in findings:
         if f.severity == "warning":
-            click.echo(f"warning: {f.path}: {f.message}", file=sys.stderr)
+            sys.stderr.write(f"warning: {f.path}: {f.message}\n")
     if errors:
         lines = "; ".join(f"{f.path}: {f.message}" for f in errors)
         raise ParameterError(lines)
@@ -141,20 +142,12 @@ def _distinct_rounded(sample, steps: int, limit: int) -> list[int]:
     return found
 
 
-def _finite(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    """Option callback: refuse inf and nan at the flag that carries them (an int is finite)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ParameterError(f"{param.opts[0]} must be a finite number, got {value!r}")
-    return value
-
-
 def _at_least(low: float, strict: bool = False):
-    """Option callback refusing, at its flag, a number below `low` (or equal, if strict)."""
-    def check(ctx: click.Context, param: click.Parameter, value):
-        _finite(ctx, param, value)
-        if value is not None and (value <= low if strict else value < low):
+    """A flag check refusing a number below `low` (or equal, if strict)."""
+    def check(flag: str, value):
+        if value <= low if strict else value < low:
             raise ParameterError(
-                f"{param.opts[0]} must be {'>' if strict else '>='} {low:g}, got {value}")
+                f"{flag} must be {'>' if strict else '>='} {low:g}, got {value}")
         return value
     return check
 
@@ -162,94 +155,146 @@ def _at_least(low: float, strict: bool = False):
 _positive, _non_negative = _at_least(0, strict=True), _at_least(0)
 
 
-def _units(ctx: click.Context, param: click.Parameter, value: float) -> int:
-    """Option callback: a volume >= 0, rounded to whole units as sweep samples are."""
-    return int(round(_non_negative(ctx, param, value)))
+def _units(flag: str, value: float) -> int:
+    """A volume >= 0, rounded to whole units as sweep samples are."""
+    return int(round(_non_negative(flag, value)))
 
 
-@click.group()
-@click.option("--params", "params_path", envvar="CHIPCARBON_PARAMS", default=None,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Parameter document (YAML); bundled defaults when omitted. "
-                   "Also read from $CHIPCARBON_PARAMS.")
-@click.version_option(version=__version__)
-@click.pass_context
-def cli(ctx: click.Context, params_path: str | None) -> None:
-    """Lifecycle carbon-footprint estimation for FPGA and ASIC accelerators."""
-    ctx.obj = params_path
+# One row per flag: (flag, input key, kind, default, check, help). The kind is int, float,
+# str, list (a str flag given once per value), bool (a switch, no value) or the tuple of
+# accepted choices. A float is refused unless finite; `check(flag, value)` then refuses a
+# value out of range, or returns the value to use. A default of _REQUIRED makes the flag
+# mandatory; other defaults are used as they stand, unchecked.
+_REQUIRED = ...
+_HELP = ("--help", "help", bool, None, None, "Show this message and exit.")
+_TOP = {row[0]: row for row in (
+    ("--params", "params_path", str, None, None,
+     "Parameter document (YAML); bundled defaults when omitted. "
+     "Also read from $CHIPCARBON_PARAMS."),
+    ("--version", "version", bool, None, None, "Show the version and exit."),
+    _HELP)}
+_DOMAIN = ("--domain", "domain", str, _REQUIRED, None,
+           "Workload domain (e.g. DNN, ImgProc, Crypto).")
+_VOLUME = ("--volume", "volume", float, 10**6, _units,
+           "Deployed units per application (rounded to a whole number).")
+_SCENARIO_FLAGS = (
+    ("--apps", "apps", int, 1, _at_least(1), "Number of sequential applications."),
+    ("--lifetime", "lifetime_years", float, 2.0, _positive,
+     "Lifetime of each application, years."),
+    _VOLUME,
+    ("--horizon", "horizon_years", float, None, _non_negative,
+     "Evaluation horizon in years; enables fleet replacement."),
+)
+_OUTPUT_FLAGS = (
+    ("--out", "out", str, None, None, "Also write the output to this file."),
+    ("--format", "fmt", ("tabular", "record"), "tabular", None, "Output format."),
+    _HELP,
+)
+_METAVARS = {int: "INTEGER", float: "NUMBER", str: "TEXT", list: "TEXT", bool: ""}
+
+# subcommand name -> (body, its flag table by flag, in --help order)
+_COMMANDS: dict[str, tuple] = {}
 
 
-_scenario_options = [
-    click.option("--apps", default=1, show_default=True, type=int,
-                 callback=_at_least(1), help="Number of sequential applications."),
-    click.option("--lifetime", "lifetime_years", default=2.0, show_default=True, type=float,
-                 callback=_positive, help="Lifetime of each application, years."),
-    click.option("--volume", default=1e6, show_default=True, type=float, callback=_units,
-                 help="Deployed units per application (rounded to a whole number)."),
-    click.option("--horizon", "horizon_years", default=None, type=float,
-                 callback=_non_negative,
-                 help="Evaluation horizon in years; enables fleet replacement."),
-]
-
-_output_options = [
-    click.option("--out", default=None, type=click.Path(dir_okay=False),
-                 help="Also write the output to this file."),
-    click.option("--format", "fmt", default="tabular", show_default=True,
-                 type=click.Choice(["tabular", "record"])),
-]
-
-
-def _command(name: str, options: list):
+def _command(name: str, flags: tuple):
     """Register `fn(params, library, inputs, record)` as the subcommand `name`.
 
-    The subcommand takes `options` plus --out/--format and loads the
-    parameters. `inputs` is the dict of its flag values; the body may adjust
-    it, and the record echoes it. The body returns the tabular text, or with
-    --format record the results of the record. The output goes to stdout and,
-    with --out, to that file too.
+    The subcommand takes `flags` plus --out/--format and loads the parameters.
+    `inputs` is the dict of its flag values; the body may adjust it, and the
+    record echoes it. The body returns the tabular text, or with --format
+    record the results of the record. The output goes to stdout and, with
+    --out, to that file too.
     """
     def register(fn):
-        def run(params_path, out, fmt, **inputs):
-            params, library = _load(params_path)
-            try:
-                text = results = fn(params, library, inputs, fmt == "record")
-            except (NonFiniteError, OverflowError) as exc:
-                given = _given_flags(click.get_current_context())
-                if not given:
-                    raise
-                raise ParameterError(f"the model overflows at {', '.join(given)}: {exc}") from None
-            if fmt == "record":
-                text = json.dumps({"tool": "chipcarbon", "version": __version__,
-                                   "command": name, "inputs": inputs,
-                                   "parameters": serialize(params), "results": results},
-                                  sort_keys=True, indent=2) + "\n"
-            # Every echo names its stream: without `file`, click caches a wrapper per
-            # stream in a weak-key map whose value is the stream itself, so a caller
-            # that redirects stdout for each in-process `main()` would keep every output.
-            click.echo(text, nl=False, file=sys.stdout)
-            if out:
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-        run = click.pass_obj(run)
-        for option in reversed(options + _output_options):  # listed order is --help order
-            run = option(run)
-        return cli.command(name=name, help=fn.__doc__)(run)
+        _COMMANDS[name] = fn, {row[0]: row for row in flags + _OUTPUT_FLAGS}
+        return fn
     return register
 
 
-def _given_flags(ctx: click.Context) -> list[str]:
+def _split(table: dict, args: list[str], command: str) -> tuple[dict, list[str]]:
+    """The flags at the head of `args`, as {flag: [value text, ...]}, and the arguments after.
+
+    A flag's value follows `=` or is the next argument as it stands, so `--horizon -1`
+    reaches the bound check. A flag is spelled out in full; a switch takes no value.
+    """
+    given: dict[str, list[str]] = {}
+    i = 0
+    while i < len(args) and args[i].startswith("-"):
+        flag, eq, text = args[i].partition("=")
+        if flag not in table or (eq and table[flag][2] is bool):
+            raise ParameterError(
+                f"{command}: unknown flag {args[i]!r} (flags: {', '.join(table)})")
+        if not eq and table[flag][2] is not bool:
+            i += 1
+            if i == len(args):
+                raise ParameterError(f"{flag} needs a value")
+            text = args[i]
+        given.setdefault(flag, []).append(text)
+        i += 1
+    return given, args[i:]
+
+
+def _values(table: dict, given: dict[str, list[str]], command: str) -> dict:
+    """Input key -> value of every flag with a value: the last one given, or the default."""
+    values = {}
+    for flag, key, kind, default, check, _ in table.values():
+        if flag in given and kind is not bool:
+            parsed = [_value(flag, kind, text, check)
+                      for text in (given[flag] if kind is list else given[flag][-1:])]
+            values[key] = parsed if kind is list else parsed[0]
+        elif default is _REQUIRED:
+            raise ParameterError(f"{command} needs {flag}")
+        elif kind is not bool:
+            values[key] = default
+    return values
+
+
+def _value(flag: str, kind, text: str, check):
+    """One flag's text as its kind, checked."""
+    if isinstance(kind, tuple) and text not in kind:
+        raise ParameterError(f"{flag} must be {' or '.join(kind)}, got {text!r}")
+    if kind not in (int, float):
+        return text
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ParameterError(f"{flag} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ParameterError(f"{flag} must be a finite number, got {value!r}")
+    return check(flag, value) if check else value
+
+
+def _help(command: str | None) -> str:
+    """--help: the usage line, what `command` does and its flags (or the commands)."""
+    if command is None:
+        table, about = _TOP, "Lifecycle carbon-footprint estimation for FPGA and ASIC accelerators."
+    else:
+        (fn, table), about = _COMMANDS[command], _COMMANDS[command][0].__doc__
+    lines = [f"usage: chipcarbon [--params FILE] {command or 'COMMAND'} [FLAGS]", "", about, ""]
+    for flag, _, kind, default, _, text in table.values():
+        metavar = "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]
+        note = ("" if default is None
+                else " (required)" if default is _REQUIRED else f" (default: {default})")
+        lines.append(f"  {flag} {metavar}".ljust(28) + text + note)
+    if command is None:
+        lines += ["", "commands:", *(f"  {name:<10}{fn.__doc__}"
+                                     for name, (fn, _) in _COMMANDS.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _given_flags(table: dict, values: dict, given: dict) -> list[str]:
     """The subcommand's numeric and --sweep flags given on the command line, as parsed.
 
-    An integer flag prints exactly: as a float, a huge one would overflow.
+    They come in the table's order. An integer flag prints exactly: as a float, a
+    huge one would overflow.
     """
-    given = []
-    for param in ctx.command.params:
-        if (param.name not in ("domain", "testcase", "out", "fmt")
-                and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
-            values = ctx.params[param.name] if param.multiple else (ctx.params[param.name],)
-            exact = param.type in (click.STRING, click.INT)
-            given += [f"{param.opts[0]} {v if exact else _fmt(v)}" for v in values]
-    return given
+    flags = []
+    for flag, key, kind, *_ in table.values():
+        if flag in given and key not in ("domain", "testcase", "out", "fmt"):
+            shown = values[key] if kind is list else (values[key],)
+            flags += [f"{flag} {_fmt(v) if kind is float else v}" for v in shown]
+    return flags
 
 
 def _scenario(inputs: dict) -> Scenario:
@@ -258,8 +303,8 @@ def _scenario(inputs: dict) -> Scenario:
                     horizon_years=inputs["horizon_years"])
 
 
-@_command("estimate", [click.option("--testcase", required=True, help="Industry testcase name."),
-                       *_scenario_options])
+@_command("estimate", (("--testcase", "testcase", str, _REQUIRED, None,
+                        "Industry testcase name."), *_SCENARIO_FLAGS))
 def estimate(params, library, inputs, record):
     """Component breakdown for one named platform."""
     chip = library.industry(inputs["testcase"])
@@ -272,13 +317,13 @@ def estimate(params, library, inputs, record):
                     _breakdown_rows(inputs["testcase"], kg, tol))
 
 
-@_command("compare", [
-    click.option("--domain", required=True, help="Workload domain (e.g. DNN, ImgProc, Crypto)."),
-    click.option("--area-ratio", default=None, type=float, callback=_positive,
-                 help="Custom FPGA:ASIC area ratio (with --power-ratio)."),
-    click.option("--power-ratio", default=None, type=float, callback=_positive,
-                 help="Custom FPGA:ASIC power ratio (with --area-ratio)."),
-    *_scenario_options])
+@_command("compare", (
+    _DOMAIN,
+    ("--area-ratio", "area_ratio", float, None, _positive,
+     "Custom FPGA:ASIC area ratio (with --power-ratio)."),
+    ("--power-ratio", "power_ratio", float, None, _positive,
+     "Custom FPGA:ASIC power ratio (with --area-ratio)."),
+    *_SCENARIO_FLAGS))
 def compare(params, library, inputs, record):
     """FPGA vs ASIC totals, their ratio, and the verdict."""
     area_ratio, power_ratio = inputs["area_ratio"], inputs["power_ratio"]
@@ -350,12 +395,11 @@ def _pair_table(x_name: str, rows, rel_tol: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-@_command("sweep", [
-    click.option("--domain", required=True),
-    click.option("--sweep", required=True,
-                 help="VAR:START:STOP:STEPS[:log]; VAR is NumApps, AppLifetime, "
-                      "AppVolume, or Horizon."),
-    *_scenario_options])
+@_command("sweep", (
+    _DOMAIN,
+    ("--sweep", "sweep", str, _REQUIRED, None,
+     "VAR:START:STOP:STEPS[:log]; VAR is NumApps, AppLifetime, AppVolume, or Horizon."),
+    *_SCENARIO_FLAGS))
 def sweep_cmd(params, library, inputs, record):
     """One-dimensional sweep of both platforms with crossover annotations."""
     variable, values = _parse_sweep(inputs["sweep"])
@@ -374,11 +418,10 @@ def sweep_cmd(params, library, inputs, record):
                           f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
 
 
-@_command("heatmap", [
-    click.option("--domain", required=True),
-    click.option("--sweep", required=True, multiple=True,
-                 help="Give twice: x axis, then y axis."),
-    *_scenario_options])
+@_command("heatmap", (
+    _DOMAIN,
+    ("--sweep", "sweep", list, _REQUIRED, None, "Give twice: x axis, then y axis."),
+    *_SCENARIO_FLAGS))
 def heatmap_cmd(params, library, inputs, record):
     """Pairwise sweep emitting long-form FPGA:ASIC ratio cells."""
     if len(inputs["sweep"]) != 2:
@@ -404,15 +447,13 @@ def heatmap_cmd(params, library, inputs, record):
     return "\n".join(lines) + "\n"
 
 
-@_command("timeline", [
-    click.option("--domain", required=True),
-    click.option("--lifetime", "lifetime_years", default=1.0, show_default=True, type=float,
-                 callback=_positive, help="Lifetime of each application, years."),
-    click.option("--horizon", "horizon_years", required=True, type=float,
-                 callback=_non_negative),
-    click.option("--step", "step_years", default=0.5, show_default=True, type=float,
-                 callback=_positive),
-    click.option("--volume", default=1e6, show_default=True, type=float, callback=_units)])
+@_command("timeline", (
+    _DOMAIN,
+    ("--lifetime", "lifetime_years", float, 1.0, _positive,
+     "Lifetime of each application, years."),
+    ("--horizon", "horizon_years", float, _REQUIRED, _non_negative, "Horizon, years."),
+    ("--step", "step_years", float, 0.5, _positive, "Row spacing, years."),
+    _VOLUME))
 def timeline_cmd(params, library, inputs, record):
     """Cumulative carbon for both platforms out to a horizon."""
     steps = inputs["horizon_years"] / inputs["step_years"]
@@ -434,20 +475,59 @@ def timeline_cmd(params, library, inputs, record):
     return _pair_table("t_years", rows, tol)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point with the documented exit codes."""
+def _main(args: list[str]) -> None:
+    """Run the command line `args`: top-level flags, then a subcommand and its flags."""
+    given, rest = _split(_TOP, args, "chipcarbon")
+    if "--help" in given or "--version" in given:
+        sys.stdout.write(_help(None) if "--help" in given else f"chipcarbon {__version__}\n")
+        return
+    if not rest or rest[0] not in _COMMANDS:
+        problem = f"unknown command {rest[0]!r}" if rest else "missing command"
+        raise ParameterError(f"{problem} (one of: {', '.join(_COMMANDS)})")
+    source = "--params" if "--params" in given else "$CHIPCARBON_PARAMS"
+    # an empty variable is no document
+    params_path = given.get("--params", [os.environ.get("CHIPCARBON_PARAMS") or None])[-1]
+    name = rest[0]
+    fn, table = _COMMANDS[name]
+    given, rest = _split(table, rest[1:], name)
+    if "--help" in given:
+        sys.stdout.write(_help(name))
+        return
+    if rest:
+        raise ParameterError(f"{name}: unexpected argument {rest[0]!r}")
+    values = _values(table, given, name)
+    inputs = dict(values)  # the body may adjust it; `values` stays as parsed
+    out, fmt = inputs.pop("out"), inputs.pop("fmt")
+    params, library = _load(params_path, source)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except click.Abort:
-        sys.exit(1)
+        text = results = fn(params, library, inputs, fmt == "record")
+    except (NonFiniteError, OverflowError) as exc:
+        flags = _given_flags(table, values, given)
+        if not flags:
+            raise
+        raise ParameterError(f"the model overflows at {', '.join(flags)}: {exc}") from None
+    if fmt == "record":
+        text = json.dumps({"tool": "chipcarbon", "version": __version__, "command": name,
+                           "inputs": inputs, "parameters": serialize(params),
+                           "results": results}, sort_keys=True, indent=2) + "\n"
+    if out is not None:  # written first: a failed write leaves nothing on stdout
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"--out: cannot write {out!r}: {exc.strerror}") from None
+    sys.stdout.write(text)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point with the documented exit codes: returns 0 or raises SystemExit(1 or 2)."""
+    try:
+        _main(sys.argv[1:] if argv is None else list(argv))
     except ConsistencyError as exc:
-        click.echo(f"internal inconsistency: {exc}", file=sys.stderr)
+        sys.stderr.write(f"internal inconsistency: {exc}\n")
         sys.exit(2)
     except (ParameterError, KeyError, ValueError, OverflowError) as exc:
         message = exc.args[0] if exc.args else str(exc)
-        click.echo(f"error: {message}", file=sys.stderr)
+        sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
     return 0

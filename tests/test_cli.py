@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chipcarbon import quantities, store
 from chipcarbon.breakdown import COMPONENTS
@@ -463,6 +463,9 @@ class TestOverflow:
           "--sweep", "NumApps:1:2:2"), "--sweep AppLifetime:1:1e300:3, --sweep NumApps:1:2:2"),
         (("timeline", "--domain", "DNN", "--lifetime", "1e-300", "--horizon", "1e300",
           "--step", "1e299"), "--lifetime 1e-300, --horizon 1e+300, --step 1e+299"),
+        # slots too short to tell apart at 10 years: once a ZeroDivisionError traceback
+        (("timeline", "--domain", "ImgProc", "--lifetime", "1e-300", "--horizon", "1e3",
+          "--step", "10"), "--lifetime 1e-300, --horizon 1000, --step 10"),
     ])
     def test_names_the_flags(self, capsys, args, named):
         code, out, err = run_main(capsys, *args)
@@ -542,6 +545,148 @@ class TestParamsEnvironment:
     def test_an_empty_value_means_the_bundled_defaults(self, capsys, monkeypatch):
         monkeypatch.setenv("CHIPCARBON_PARAMS", "")
         assert self._duty(capsys) == 0.25
+
+
+class TestUsageErrors:
+    """A command line the CLI cannot run is one `error:` line, exit 1 and nothing on stdout."""
+
+    @pytest.mark.parametrize("args, named", [
+        (("compare",), "--domain"),
+        (("compare", "--domain", "DNN", "--bogus", "1"), "'--bogus'"),
+        (("compare", "--domain", "DNN", "--apps"), "--apps"),
+        (("compare", "--domain", "DNN", "--apps", "abc"), "--apps"),
+        (("compare", "--domain", "DNN", "--apps", "1e3"), "--apps"),
+        (("compare", "--domain", "DNN", "--format", "xml"), "--format"),
+        (("frobnicate",), "'frobnicate'"),
+        (("--params", "{tmp}/missing.yaml", "compare", "--domain", "DNN"), "--params"),
+        (("--params", "{tmp}", "compare", "--domain", "DNN"), "--params"),
+        (("compare", "--dom", "DNN"), "'--dom'"),
+        (("compare", "--domain", "DNN", "--area-ratio", "2", "--power-ratio", "-inf"),
+         "--power-ratio"),
+        (("compare", "--domain", "DNN", "--horizon", "-1e3"), "--horizon"),
+    ])
+    def test_one_line(self, capsys, tmp_path, args, named):
+        code, out, err = run_main(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in args))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and named in line, line
+
+    @pytest.mark.parametrize("args", [("--help",), ("compare", "--help"), ("--version",)])
+    def test_help_and_version_print_to_stdout(self, capsys, args):
+        code, out, err = run_main(capsys, *args)
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("target", ["{tmp}/missing/out.csv", "{tmp}"])
+    def test_a_failed_out_write_is_one_line(self, capsys, tmp_path, target):
+        target = target.replace("{tmp}", str(tmp_path))
+        code, out, err = run_main(capsys, "compare", "--domain", "DNN", "--out", target)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: --out: ") and repr(target) in line, line
+
+
+def test_import_adds_no_third_party_module():
+    """`import chipcarbon.cli` loads only the package, PyYAML and the standard library.
+
+    The bare interpreter is the baseline: `site` may load more (a `.pth` file).
+    PyYAML's compiled loader registers the Cython runtime modules it was built with.
+    """
+    listing = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    bare, loaded = (set(json.loads(subprocess.run(
+        [sys.executable, "-c", code + listing], capture_output=True, check=True,
+        env=cli_env(), timeout=60).stdout)) for code in ("", "import chipcarbon.cli; "))
+    added = {name.split(".")[0] for name in loaded - bare} - sys.stdlib_module_names
+    allowed = {"chipcarbon", "yaml", "_yaml", "cython_runtime"}
+    assert {name for name in added - allowed if not name.startswith("_cython_")} == set()
+
+
+# -------------------------------------------------------------- argv fuzz property
+
+FUZZ_CHILD = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from chipcarbon.cli import main
+outcomes = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = "traceback"
+            traceback.print_exc()
+    outcomes.append([code, out.getvalue() != "", err.getvalue()])
+json.dump(outcomes, sys.stdout)
+"""
+
+EDGE_VALUES = st.sampled_from(("0", "-1", "-0.5", "1e-300", "1e300", "inf", "-inf", "nan",
+                               "1" + "0" * 400, ""))
+NUMBERS = {int: st.sampled_from(("1", "2", "5", "12")),
+           float: st.sampled_from(("0.5", "1.5", "2", "10", "45", "1e3", "1e6"))}
+SWEEP_SPECS = st.one_of(
+    st.sampled_from(["NumApps:1:8:8", "AppLifetime", "AppVolume:1e3:1e6:5:log", "Horizon",
+                     "NumApps:1:8", "Wat:1:2:3", "Horizon:1:2:3:lin", "AppVolume:0:1e6:3:log",
+                     "::::", ""]),
+    st.builds("{}:{}:{}:{}{}".format, st.sampled_from(["NumApps", "AppLifetime", "AppVolume",
+                                                       "Horizon"]),
+              st.one_of(NUMBERS[float], EDGE_VALUES), st.one_of(NUMBERS[float], EDGE_VALUES),
+              st.one_of(NUMBERS[int], EDGE_VALUES), st.sampled_from(["", ":log"])))
+FLAG_VALUES = {
+    "--domain": st.sampled_from(["DNN", "ImgProc", "Crypto"]),
+    "--testcase": st.sampled_from(["IndustryFPGA1", "IndustryASIC2"]),
+    "--sweep": SWEEP_SPECS,
+    "--format": st.sampled_from(["tabular", "record"]),
+}
+MALFORMED = (["frobnicate"], ["--bogus", "1"], ["--dom", "DNN"], ["stray"], ["--apps"],
+             ["--sweep"], ["--help"], ["--version"], ["--params", ""],
+             ["--params=missing.yaml"], ["--domain", "dnn"], ["--testcase", "NoSuch"],
+             ["--format", "xml"])
+
+
+@st.composite
+def argv_vectors(draw):
+    """A command line drawn from the CLI's flag table: valid values, at times an edge
+    value in their place or a malformed token among them."""
+    from chipcarbon.cli import _COMMANDS, _REQUIRED
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 7)) == 7
+
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    pairs = []
+    for flag, _, kind, default, _, _ in _COMMANDS[name][1].values():
+        # --out writes files and --help is a switch: MALFORMED gives the latter
+        if flag in ("--out", "--help") or (rarely() if default is _REQUIRED
+                                           else draw(st.booleans())):
+            continue
+        for _ in range(2 if kind is list else 1):
+            valid = FLAG_VALUES[flag] if flag in FLAG_VALUES else NUMBERS[kind]
+            pairs.append([flag, draw(EDGE_VALUES if rarely() else valid)])
+    pairs = draw(st.permutations(pairs))
+    args = [a for pair in pairs for a in (
+        [f"{pair[0]}={pair[1]}"] if draw(st.booleans()) else pair)]
+    if rarely():  # one malformed or extra token, anywhere
+        args[draw(st.integers(0, len(args))):0] = draw(st.sampled_from(MALFORMED))
+    return [name] + args
+
+
+class TestArgvFuzz:
+    @settings(max_examples=5, derandomize=True, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(vectors=st.lists(argv_vectors(), min_size=100, max_size=100))
+    def test_every_vector_is_a_result_or_one_line(self, tmp_path_factory, vectors):
+        proc = subprocess.run([sys.executable, "-c", FUZZ_CHILD], input=json.dumps(vectors),
+                              capture_output=True, text=True, env=cli_env(), timeout=60,
+                              cwd=tmp_path_factory.mktemp("fuzz"))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for argv, (code, wrote, err) in zip(vectors, json.loads(proc.stdout), strict=True):
+            if code == 0:
+                assert err == "", (argv, err)
+            else:
+                assert code in (1, 2) and not wrote and len(err.splitlines()) == 1, (
+                    argv, code, err[-2000:])
 
 
 TIMELINE_PARAMS = {
