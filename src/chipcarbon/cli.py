@@ -199,7 +199,7 @@ _COMMANDS: dict[str, tuple] = {}
 def _command(name: str, flags: tuple):
     """Register `fn(params, library, inputs, record)` as the subcommand `name`.
 
-    The subcommand takes `flags` plus --out/--format and loads the parameters.
+    The subcommand takes `flags` plus --out/--format/--help and loads the parameters.
     `inputs` is the dict of its flag values; the body may adjust it, and the
     record echoes it. The body returns the tabular text, or with --format
     record the results of the record. The output goes to stdout and, with
@@ -238,13 +238,15 @@ def _values(table: dict, given: dict[str, list[str]], command: str) -> dict:
     """Input key -> value of every flag with a value: the last one given, or the default."""
     values = {}
     for flag, key, kind, default, check, _ in table.values():
-        if flag in given and kind is not bool:
+        if kind is bool:
+            continue
+        if flag in given:
             parsed = [_value(flag, kind, text, check)
                       for text in (given[flag] if kind is list else given[flag][-1:])]
             values[key] = parsed if kind is list else parsed[0]
         elif default is _REQUIRED:
             raise ParameterError(f"{command} needs {flag}")
-        elif kind is not bool:
+        else:
             values[key] = default
     return values
 
@@ -270,7 +272,8 @@ def _help(command: str | None) -> str:
     if command is None:
         table, about = _TOP, "Lifecycle carbon-footprint estimation for FPGA and ASIC accelerators."
     else:
-        (fn, table), about = _COMMANDS[command], _COMMANDS[command][0].__doc__
+        fn, table = _COMMANDS[command]
+        about = fn.__doc__
     lines = [f"usage: chipcarbon [--params FILE] {command or 'COMMAND'} [FLAGS]", "", about, ""]
     for flag, _, kind, default, _, text in table.values():
         metavar = "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]

@@ -187,9 +187,10 @@ class _Timing:
                 slots.append((0.0, 0, 0))
             else:  # k slots done, slot k partly
                 slot_start = start + k * lifetime_h
-                width = start + (k + 1) * lifetime_h - slot_start
-                # a slot too short to tell from its neighbours at this k has no share
-                share = (until - slot_start) / width if width > 0 else 0.0
+                try:
+                    share = (until - slot_start) / (start + (k + 1) * lifetime_h - slot_start)
+                except ZeroDivisionError:  # a slot too short to tell from its neighbours at k
+                    share = 0.0
                 slots.append((k * lifetime_h + (until - slot_start), k + share, k + 1))
         return replaced, self.swaps, slots
 

@@ -665,11 +665,11 @@ def argv_vectors(draw):
             valid = FLAG_VALUES[flag] if flag in FLAG_VALUES else NUMBERS[kind]
             pairs.append([flag, draw(EDGE_VALUES if rarely() else valid)])
     pairs = draw(st.permutations(pairs))
-    args = [a for pair in pairs for a in (
+    argv = [name] + [a for pair in pairs for a in (
         [f"{pair[0]}={pair[1]}"] if draw(st.booleans()) else pair)]
-    if rarely():  # one malformed or extra token, anywhere
-        args[draw(st.integers(0, len(args))):0] = draw(st.sampled_from(MALFORMED))
-    return [name] + args
+    if rarely():  # one malformed or extra token, anywhere: before the command too
+        argv[draw(st.integers(0, len(argv))):0] = draw(st.sampled_from(MALFORMED))
+    return argv
 
 
 class TestArgvFuzz:
