@@ -673,7 +673,7 @@ def argv_vectors(draw):
 
 
 class TestArgvFuzz:
-    @settings(max_examples=5, derandomize=True, deadline=None, database=None,
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None,
               suppress_health_check=list(HealthCheck))
     @given(vectors=st.lists(argv_vectors(), min_size=100, max_size=100))
     def test_every_vector_is_a_result_or_one_line(self, tmp_path_factory, vectors):
