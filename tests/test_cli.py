@@ -473,6 +473,14 @@ class TestOverflow:
         [line] = err.splitlines()
         assert line.startswith(f"error: the model overflows at {named}: "), line
 
+    @pytest.mark.parametrize("fmt", ["tabular", "record"])
+    def test_a_sweep_names_the_first_bad_value(self, capsys, fmt):
+        code, out, err = run_main(capsys, "sweep", "--domain", "DNN", "--sweep",
+                                  "AppLifetime:1:1e300:3", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: the model overflows at --sweep AppLifetime:1:1e300:3: "
+                                    "CarbonMass must be finite, got inf"]
+
     def test_a_huge_integer_flag_is_named_exactly(self, capsys):
         apps = "1" + "0" * 400  # beyond the float range: the flag must print without one
         code, out, err = run_main(capsys, "compare", "--domain", "DNN", "--apps", apps)
@@ -545,6 +553,32 @@ class TestParamsEnvironment:
     def test_an_empty_value_means_the_bundled_defaults(self, capsys, monkeypatch):
         monkeypatch.setenv("CHIPCARBON_PARAMS", "")
         assert self._duty(capsys) == 0.25
+
+
+def test_warm_calls_equal_fresh_processes(capsys, monkeypatch, tmp_path):
+    """In one process, defaults, --params, $CHIPCARBON_PARAMS, then defaults again: each
+    call prints what `python -m chipcarbon` prints, its document's warning included."""
+    doc = tmp_path / "warn.yaml"
+    doc.write_text("design:\n  grid_intensity_g_per_kwh: 900\n")  # above the published range
+    command = ("compare", "--domain", "DNN", "--format", "record")
+    calls = [((), None), (("--params", str(doc)), None), ((), str(doc)), ((), None)]
+    outputs = []
+    for top, variable in calls:
+        env = cli_env()
+        if variable is None:
+            monkeypatch.delenv("CHIPCARBON_PARAMS", raising=False)
+        else:
+            monkeypatch.setenv("CHIPCARBON_PARAMS", variable)
+            env["CHIPCARBON_PARAMS"] = variable
+        warm = run_main(capsys, *top, *command)
+        fresh = subprocess.run([sys.executable, "-m", "chipcarbon", *top, *command],
+                               capture_output=True, env=env, timeout=60)
+        assert warm == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+        outputs.append(warm)
+    warning = ("warning: design.grid_intensity_g_per_kwh: value 900 outside the published "
+               "range [30, 700]\n")
+    assert [err for _, _, err in outputs] == ["", warning, warning, ""]
+    assert outputs[0] == outputs[3] and outputs[1] == outputs[2] != outputs[0]
 
 
 class TestUsageErrors:
