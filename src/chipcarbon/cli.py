@@ -14,6 +14,7 @@ inconsistency.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -43,12 +44,24 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _read(params_path: str | None):
+    """A parameter document (None: the bundled defaults), its findings and its library."""
+    params = load_parameters(params_path)
+    return params, validate(params), builtin_testcases(params)
+
+
+_bundled = functools.cache(_read)  # called with None only: the defaults, built once per process
+
+
 def _load(params_path: str | None, source: str):
+    """The parameters and library to run on, with their warnings printed on every call.
+
+    A document is read on every call, so no call depends on an earlier one.
+    """
     try:
-        params = load_parameters(params_path)
+        params, findings, library = (_bundled if params_path is None else _read)(params_path)
     except OSError as exc:
         raise ParameterError(f"{source}: cannot read {params_path!r}: {exc.strerror}") from None
-    findings = validate(params)
     errors = [f for f in findings if f.severity == "error"]
     for f in findings:
         if f.severity == "warning":
@@ -56,7 +69,7 @@ def _load(params_path: str | None, source: str):
     if errors:
         lines = "; ".join(f"{f.path}: {f.message}" for f in errors)
         raise ParameterError(lines)
-    return params, builtin_testcases(params)
+    return params, library
 
 
 def _tabular(header: list[str], rows: list[list[str]]) -> str:
@@ -411,12 +424,12 @@ def sweep_cmd(params, library, inputs, record):
     tol = params.options.breakdown_rel_tol
     if record:
         return {
-            "points": [{"value": pt.value, "fpga": _kg_dict(_kg(pt.fpga), tol),
-                        "asic": _kg_dict(_kg(pt.asic), tol)} for pt in points],
+            "points": [{"value": value, "fpga": _kg_dict(fpga, tol), "asic": _kg_dict(asic, tol)}
+                       for value, fpga, asic in points],
             "crossovers": [{"kind": c.kind, "value": c.value, "bracket": list(c.bracket)}
                            for c in crossovers],
         }
-    text = _pair_table("value", ((pt.value, _kg(pt.fpga), _kg(pt.asic)) for pt in points), tol)
+    text = _pair_table("value", points, tol)
     return text + "".join(f"# crossover,{c.kind},{_fmt(c.value)},bracket,"
                           f"{_fmt(c.bracket[0])},{_fmt(c.bracket[1])}\n" for c in crossovers)
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .breakdown import COMPONENTS, CfpBreakdown
+from .breakdown import CfpBreakdown
 from .chips import ApplicationProfile, ChipKind, ChipSpec
 from .errors import ConsistencyError, NonFiniteError
 from .lifecycle import SampleTotals, asic_total_cfp, fpga_total_cfp
@@ -85,11 +85,25 @@ class SweepSpec:
                     raise ValueError("NumApps samples must be positive integers")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One sweep sample in plain floats.
+
+    `fpga_kg` and `asic_kg` are each platform's carbon per component in
+    `COMPONENTS` order. Neither is validated; `fpga` and `asic` build the
+    validated `CfpBreakdown` on access.
+    """
+
     value: float
-    fpga: CfpBreakdown
-    asic: CfpBreakdown
+    fpga_kg: tuple[float, ...]
+    asic_kg: tuple[float, ...]
+
+    @property
+    def fpga(self) -> CfpBreakdown:
+        return CfpBreakdown.of(self.fpga_kg)
+
+    @property
+    def asic(self) -> CfpBreakdown:
+        return CfpBreakdown.of(self.asic_kg)
 
 
 @dataclass(frozen=True)
@@ -191,14 +205,11 @@ def _axis(fixed: Scenario, variable: SweepVariable, values: Sequence[float],
 
 
 def sweep(spec: SweepSpec, params: ParameterSet, library: TestcaseLibrary) -> list[SweepPoint]:
-    """Evaluate both platforms at every sample of a one-dimensional sweep."""
+    """Evaluate both platforms at every sample of a one-dimensional sweep, as float rows."""
     samples = _axis(spec.fixed, spec.variable, spec.values, library)
     totals = _totals(spec.fixed.domain, params, library)
-    points = []
-    for value, sample in zip(spec.values, samples):
-        fpga, asic = totals(*sample)
-        points.append(SweepPoint(float(value), CfpBreakdown.of(fpga), CfpBreakdown.of(asic)))
-    return points
+    return [SweepPoint(float(value), *totals(*sample))
+            for value, sample in zip(spec.values, samples)]
 
 
 def find_crossovers(
@@ -216,9 +227,8 @@ def find_crossovers(
     """
     if len(points) < 2:
         return []
-    # each point's totals once, as floats: `sum` in COMPONENTS order is CfpBreakdown.total
-    totals = [tuple(sum(getattr(b, c).value for c in COMPONENTS) for b in (p.fpga, p.asic))
-              for p in points]
+    # each point's totals once: `sum` in COMPONENTS order is CfpBreakdown.total
+    totals = [(sum(p.fpga_kg), sum(p.asic_kg)) for p in points]
 
     def fpga_favored(fpga: float, asic: float) -> bool:
         return fpga - asic <= tie_rel_tol * max(abs(fpga), abs(asic), 1.0)

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chipcarbon import quantities, store
+from chipcarbon import lifecycle, quantities, store
 from chipcarbon.breakdown import COMPONENTS
 from chipcarbon.chips import ChipKind
 from chipcarbon.cli import _parse_sweep, main
@@ -739,10 +739,8 @@ class TestClosureTolerance:
     @pytest.mark.parametrize("fmt", ["tabular", "record"])
     @pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"heatmap"}))
     def test_the_documented_key_governs(self, capsys, monkeypatch, tmp_path, command, fmt):
-        from chipcarbon import cli
-
-        monkeypatch.setattr(cli, "_kg", lambda b: list(self.CANCELLING))
-        monkeypatch.setattr(_Kernel, "at", lambda kernel, t: self.CANCELLING)
+        # every total, sample and timeline row is booked by `_combine`
+        monkeypatch.setattr(lifecycle, "_combine", lambda timing, volume: self.CANCELLING)
         args = SUBCOMMANDS[command] + ("--format", fmt)
         if command == "timeline":
             args += ("--horizon", "2")
@@ -813,7 +811,13 @@ class TestTimelineRows:
             f.hours / HOURS_PER_YEAR, sum(f.kg), sum(a.kg), *f.kg, *a.kg))
             for f, a in zip(fpga_tl, asic_tl)]
 
-    def test_carbon_masses_do_not_grow_with_rows(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("args, few, many", [
+        (("timeline", "--domain", "ImgProc", "--lifetime", "1", "--horizon", "45", "--step"),
+         "0.5", "0.005"),
+        (("sweep", "--domain", "DNN", "--sweep"),
+         "AppVolume:1e3:1e6:5:log", "AppVolume:1e3:1e6:500:log"),
+    ], ids=["timeline", "sweep"])
+    def test_carbon_masses_do_not_grow_with_rows(self, capsys, monkeypatch, args, few, many):
         created = []
         post_init = quantities.CarbonMass.__post_init__
 
@@ -821,13 +825,14 @@ class TestTimelineRows:
             created.append(self)
             post_init(self)
         monkeypatch.setattr(quantities.CarbonMass, "__post_init__", counted)
-        counts = []
-        for step in ("0.5", "0.005"):
+        counts, rows = [], []
+        for last in (few, many):
             created.clear()
-            code, out, _ = run_main(capsys, "timeline", "--domain", "ImgProc", "--lifetime",
-                                    "1", "--horizon", "45", "--step", step)
-            assert code == 0 and len(out.splitlines()) > 90
+            code, out, _ = run_main(capsys, *args, last)
+            assert code == 0
             counts.append(len(created))
+            rows.append(len(out.splitlines()))
+        assert 10 * rows[0] < rows[1]
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("fmt", ["tabular", "record"])

@@ -111,13 +111,10 @@ class TestFindCrossovers:
         assert find_crossovers(pts, SweepVariable.NUM_APPS) == []
 
     def test_exact_tie_counts_as_fpga_favored(self):
-        from chipcarbon.breakdown import CfpBreakdown
-        from chipcarbon.quantities import CarbonMass
         from chipcarbon.scenario import SweepPoint
 
         def bd(total):
-            z = CarbonMass(0.0)
-            return CfpBreakdown(CarbonMass(total), z, z, z, z, z)
+            return (total, 0.0, 0.0, 0.0, 0.0, 0.0)
 
         # tie -> ASIC-favored reads as F2A (the tie sample already counts as
         # the FPGA side); ASIC-favored -> tie reads as A2F
@@ -129,13 +126,10 @@ class TestFindCrossovers:
         assert c.kind == "A2F"
 
     def test_tie_band_crossing_on_continuous_axis_stays_in_bracket(self):
-        from chipcarbon.breakdown import CfpBreakdown
-        from chipcarbon.quantities import CarbonMass
         from chipcarbon.scenario import SweepPoint
 
         def bd(total):
-            z = CarbonMass(0.0)
-            return CfpBreakdown(CarbonMass(total), z, z, z, z, z)
+            return (total, 0.0, 0.0, 0.0, 0.0, 0.0)
 
         # left diff is +1e-12 relative (inside the tie band, counted as FPGA);
         # naive interpolation of two positive diffs would leave the bracket
