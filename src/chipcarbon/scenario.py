@@ -229,6 +229,9 @@ def find_crossovers(
         return []
     # each point's totals once: `sum` in COMPONENTS order is CfpBreakdown.total
     totals = [(sum(p.fpga_kg), sum(p.asic_kg)) for p in points]
+    for point, (fpga, asic) in zip(points, totals):
+        if not math.isfinite(fpga + asic):  # a non-finite component raises, not a nan root
+            point.fpga, point.asic
 
     def fpga_favored(fpga: float, asic: float) -> bool:
         return fpga - asic <= tie_rel_tol * max(abs(fpga), abs(asic), 1.0)

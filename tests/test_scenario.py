@@ -125,6 +125,17 @@ class TestFindCrossovers:
         [c] = find_crossovers(pts, SweepVariable.NUM_APPS)
         assert c.kind == "A2F"
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_sample_is_refused(self, bad):
+        from chipcarbon.errors import NonFiniteError
+        from chipcarbon.scenario import SweepPoint
+
+        finite = (1.0,) * len(COMPONENTS)
+        pts = [SweepPoint(1.0, (2.0,) * len(COMPONENTS), finite),
+               SweepPoint(2.0, finite, (1.0, bad, math.inf, 1.0, 1.0, 1.0))]
+        with pytest.raises(NonFiniteError, match=f"CarbonMass must be finite, got {bad!r}"):
+            find_crossovers(pts, SweepVariable.APP_LIFETIME)
+
     def test_tie_band_crossing_on_continuous_axis_stays_in_bracket(self):
         from chipcarbon.scenario import SweepPoint
 
