@@ -62,6 +62,8 @@ def _load(params_path: str | None, source: str):
         params, findings, library = (_bundled if params_path is None else _read)(params_path)
     except OSError as exc:
         raise ParameterError(f"{source}: cannot read {params_path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"{source}: cannot read {params_path!r}: not UTF-8 text") from None
     errors = [f for f in findings if f.severity == "error"]
     for f in findings:
         if f.severity == "warning":

@@ -3,7 +3,7 @@
 Internal math runs in one canonical unit system: kilograms of CO2-equivalent,
 kilowatt-hours, watts, and hours. Configuration files speak human units
 (g CO2/kWh, GWh, months, years, metric tons CO2e per ton); the parameter loader
-converts those once, through its unit table (`store._UNITS`), so no model
+converts those once, through its unit table (`params._UNITS`), so no model
 formula ever mixes units. The only named conversions here are for the
 command-line and scenario boundary: `CarbonMass.kg` and `Duration.from_years`
 / `to_years`.

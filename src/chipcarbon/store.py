@@ -6,14 +6,14 @@ rejects unknown keys outright, and applies the bundled defaults for anything
 omitted. Warnings flag values that leave the published plausibility ranges
 without being outright invalid.
 
-One table, `_FIELDS`, drives all of it: loading, `serialize` and `validate`
-each walk its rows, so a field is spelled out once.
+One table, `params._FIELDS`, drives all of it: loading, `serialize` and
+`validate` each walk its rows, and the parameter classes check their fields
+against the same rows, so a field is spelled out once.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, IO, Mapping
@@ -22,91 +22,8 @@ import yaml
 
 from .chips import ChipKind, ChipSpec
 from .errors import ParameterError
-from .params import (
-    AppDevParams,
-    DesignHouseParams,
-    EolParams,
-    MaterialsParams,
-    OperationParams,
-    Options,
-    PackageParams,
-    ParameterSet,
-    TechNodeParams,
-)
-from .quantities import HOURS_PER_YEAR, CarbonIntensity, CarbonMass, Duration, Energy, Power
-
-# Hard ranges, refused at load: (low, high, low excluded, how the refusal states it).
-_GE_0 = (0, math.inf, False, "non-negative")
-_GT_0 = (0, math.inf, True, "positive")
-_GE_1 = (1, math.inf, False, ">= 1")
-_FRACTION = (0, 1, False, "in [0, 1]")
-_YIELD = (0, 1, True, "in (0, 1]")
-_GRIDS = (30.0, 700.0)  # the published range of grid carbon intensities, g/kWh
-
-# Document unit -> (canonical type, multiplier, divisor): canonical = document * mul / div.
-# The multiplier of months (None) is options.hours_per_dev_month.
-_UNITS = {
-    "GWh": (Energy, 1e6, 1.0),
-    "g/kWh": (CarbonIntensity, 1.0, 1000.0),
-    "years": (Duration, HOURS_PER_YEAR, 1.0),
-    "months": (Duration, None, 1.0),
-    "hours": (Duration, 1.0, 1.0), "W": (Power, 1.0, 1.0), "kg": (CarbonMass, 1.0, 1.0),
-}
-
-# Every document field, by section: (key, attribute of the section's ParameterSet class,
-# kind, unit, hard range, published range). The kind is "number", "integer", "flag" or the
-# tuple of accepted choices; a number without a unit is stored as it is; the published
-# range is in document units, and `validate` warns outside it.
-_FIELDS: dict[str, tuple[tuple, ...]] = {
-    "design": (
-        ("annual_energy_gwh", "annual_energy", "number", "GWh", _GE_0, (2.0, 7.3)),
-        ("grid_intensity_g_per_kwh", "grid_intensity", "number", "g/kWh", _GE_0, _GRIDS),
-        ("total_employees", "total_employees", "integer", None, _GE_1, None),
-        ("project_employees", "project_employees", "integer", None, _GE_1, None),
-        ("avg_gates_per_chip", "avg_gates_per_chip", "integer", None, _GE_1, None),
-        ("project_duration_years", "project_duration", "number", "years", _GT_0, (1.0, 3.0)),
-    ),
-    "nodes": (  # the fields of each node; the node number is the key above them
-        ("energy_per_mm2_kwh", "energy_per_mm2", "number", None, _GE_0, None),
-        ("gas_per_mm2_kg", "gas_per_mm2", "number", None, _GE_0, None),
-        ("materials_new_per_mm2_kg", "materials_new_per_mm2", "number", None, _GE_0, None),
-        ("materials_recycled_per_mm2_kg", "materials_recycled_per_mm2", "number", None, _GE_0,
-         None),
-        ("yield", "yield_fraction", "number", None, _YIELD, None),
-        ("fab_intensity_g_per_kwh", "fab_intensity", "number", "g/kWh", _GE_0, None),
-    ),
-    "eol": (
-        ("recycle_fraction", "recycle_fraction", "number", None, _FRACTION, None),
-        ("discard_mt_per_ton", "discard_intensity", "number", None, _GE_0, (0.03, 2.08)),
-        ("recycle_mt_per_ton", "recycle_intensity", "number", None, _GE_0, (7.65, 29.83)),
-        ("chip_mass_g_per_mm2", "mass_per_mm2_g", "number", None, _GE_0, None),
-    ),
-    "package": (("carbon_per_package_kg", "carbon_per_package", "number", "kg", _GE_0, None),),
-    "materials": (("recycled_fraction", "recycled_fraction", "number", None, _FRACTION, None),),
-    "appdev": (
-        ("frontend_months", "frontend_time", "number", "months", _GE_0, (1.5, 2.5)),
-        ("backend_months", "backend_time", "number", "months", _GE_0, (0.5, 1.5)),
-        ("config_hours_fpga", "config_time_fpga", "number", "hours", _GE_0, None),
-        ("config_hours_asic", "config_time_asic", "number", "hours", _GE_0, None),
-        ("dev_power_w", "dev_power", "number", "W", _GE_0, None),
-        ("dev_grid_intensity_g_per_kwh", "dev_grid_intensity", "number", "g/kWh", _GE_0, _GRIDS),
-    ),
-    "operation": (
-        ("duty_cycle", "duty_cycle", "number", None, _FRACTION, None),
-        ("use_grid_intensity_g_per_kwh", "use_grid_intensity", "number", "g/kWh", _GE_0, _GRIDS),
-    ),
-    "options": (
-        ("appdev_scaling", "appdev_scaling", ("one_time", "literal"), None, None, None),
-        ("hours_per_dev_month", "hours_per_dev_month", "number", None, _GT_0, None),
-        ("replacement_reprogramming", "replacement_reprogramming", "flag", None, None, None),
-        ("breakdown_rel_tol", "breakdown_rel_tol", "number", None, _GT_0, None),
-        ("crossover_tie_rel_tol", "crossover_tie_rel_tol", "number", None, _GT_0, None),
-    ),
-}
-
-_CLASSES = {"design": DesignHouseParams, "nodes": TechNodeParams, "eol": EolParams,
-            "package": PackageParams, "materials": MaterialsParams, "appdev": AppDevParams,
-            "operation": OperationParams, "options": Options}
+from .params import _CLASSES, _FIELDS, _UNITS, PackageParams, ParameterSet, _refusal
+from .quantities import Duration, Power
 
 _SECTION_KEYS = {section: tuple(row[0] for row in rows) for section, rows in _FIELDS.items()}
 _SECTIONS = (*_SECTION_KEYS, "provenance")  # provenance: free-form section -> note
@@ -169,40 +86,25 @@ def _merge(defaults: dict, override: Mapping[str, Any]) -> dict:
         nodes = merged["nodes"] = dict(merged["nodes"])
         for nm, fields in content.items():
             # per-node field merge; a brand-new node must be complete
+            if isinstance(nm, bool) or not isinstance(nm, int):  # 10.0 would patch node 10
+                raise ParameterError(f"nodes.<key>: expected an integer, got {nm!r}")
             if not isinstance(fields, Mapping):
                 raise ParameterError(f"nodes.{nm}: expected a mapping of fields")
+            _check_keys(fields, _NODE_KEYS, f"nodes.{nm}")
             nodes[nm] = {**nodes.get(nm, {}), **fields}
             missing = sorted(set(_NODE_KEYS) - set(nodes[nm]))
             if missing:
                 raise ParameterError(
                     f"nodes.{nm}: new node is missing field(s): {', '.join(missing)}")
-            _check_keys(fields, _NODE_KEYS, f"nodes.{nm}")
     return merged
 
 
 def _field(raw: Any, path: str, kind, unit: str | None, hard: tuple, month: float) -> Any:
     """One document value, checked against its row and converted to canonical units."""
-    if kind == "flag":
-        if not isinstance(raw, bool):
-            raise ParameterError(f"{path}: expected true or false, got {raw!r}")
-        return raw
-    if isinstance(kind, tuple):
-        if raw not in kind:
-            raise ParameterError(f"{path}: expected {' or '.join(map(repr, kind))}, got {raw!r}")
-        return raw
-    if isinstance(raw, bool) or not isinstance(raw, int if kind == "integer" else (int, float)):
-        raise ParameterError(
-            f"{path}: expected {'an integer' if kind == 'integer' else 'a number'}, got {raw!r}")
-    try:  # an integer field must convert too: the model computes in floats
-        number = float(raw)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ParameterError(f"{path}: must be finite, got {number!r}")
-    value = raw if kind == "integer" else number
-    low, high, low_excluded, stated = hard
-    if (value <= low if low_excluded else value < low) or value > high:
-        raise ParameterError(f"{path}: must be {stated}, got {value!r}")
+    why = _refusal(raw, kind, hard)
+    if why:
+        raise ParameterError(f"{path}: {why}")
+    value = float(raw) if kind == "number" else raw
     if unit is None:
         return value
     cls, mul, div = _UNITS[unit]
@@ -231,8 +133,6 @@ def _build(doc: dict) -> ParameterSet:
         if section == "nodes":
             built["nodes"] = nodes = {}
             for nm, fields in doc["nodes"].items():
-                if isinstance(nm, bool) or not isinstance(nm, int):
-                    raise ParameterError(f"nodes.<key>: expected an integer, got {nm!r}")
                 nodes[nm] = _section("nodes", fields, f"nodes.{nm}", month, node_nm=nm)
         elif section != "options":
             built[section] = _section(section, doc[section], section, month)

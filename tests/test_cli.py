@@ -515,6 +515,21 @@ def test_malformed_params_document_is_one_line(capsys, tmp_path):
     assert line.startswith("error: parameter document is not valid YAML: ")
 
 
+@pytest.mark.parametrize("via_flag", [True, False])
+def test_params_document_that_is_not_utf8_is_one_line(capsys, monkeypatch, tmp_path, via_flag):
+    doc = tmp_path / "bad.yaml"
+    doc.write_bytes(b"\xff\xfebad")  # used to print `error: utf-8`
+    monkeypatch.delenv("CHIPCARBON_PARAMS", raising=False)
+    if via_flag:
+        args, source = ("--params", str(doc)), "--params"
+    else:
+        monkeypatch.setenv("CHIPCARBON_PARAMS", str(doc))
+        args, source = (), "$CHIPCARBON_PARAMS"
+    code, out, err = run_main(capsys, *args, "compare", "--domain", "DNN")
+    assert (code, out) == (1, "")
+    assert err == f"error: {source}: cannot read {str(doc)!r}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("doc, path", [
     ("1: 2\nfoo: 3\n", "document"),
     ("design:\n  1: 2\n  foo: 3\n", "design"),

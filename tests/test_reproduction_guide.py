@@ -37,7 +37,9 @@ def readme_python_blocks() -> list[tuple[str, str]]:
 
 
 # the stdout a block prints, by its heading
-PYTHON_STDOUT = {"Library": b"[CrossoverPoint(kind='A2F', value=6.0, bracket=(5.0, 6.0))]\n"}
+PYTHON_STDOUT = {"Library": b"[CrossoverPoint(kind='A2F', value=6.0, bracket=(5.0, 6.0))]\n",
+                 "Model parameters": b"recycle_fraction must be in [0, 1], got 1.5\n"
+                                     b"energy_per_mm2 must be finite, got nan\n"}
 
 
 def golden_outputs() -> dict[str, bytes]:

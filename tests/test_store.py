@@ -1,6 +1,7 @@
 import copy
 import io
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from importlib import resources
 from chipcarbon.errors import ParameterError
 from chipcarbon.quantities import CarbonIntensity, Duration, Energy
 from chipcarbon.store import (
-    _FIELDS, _NODE_KEYS, _SECTION_KEYS, Finding, _parse_bundled, load_parameters, serialize,
-    validate,
+    _FIELDS, _NODE_KEYS, _SECTION_KEYS, _UNITS, Finding, _parse_bundled, load_parameters,
+    serialize, validate,
 )
 
 from conftest import params_with
@@ -141,6 +142,12 @@ REFUSALS = [
      "options.appdev_scaling: expected 'one_time' or 'literal', got 'daily'"),
     ("options:\n  hours_per_dev_month: 0\n",
      "options.hours_per_dev_month: must be positive, got 0.0"),
+    # a node key is an integer, checked before its fields; 10.0 used to patch node 10
+    *((f"nodes:\n  {raw}:\n    yield: 0.9\n", f"nodes.<key>: expected an integer, got {shown}")
+      for raw, shown in (('"10"', "'10'"), ("true", "True"), ("10.0", "10.0"))),
+    ("nodes:\n  5:\n    yeild: 0.9\n",  # an unknown field before the missing ones
+     "nodes.5: unknown key(s) 'yeild'; accepted: energy_per_mm2_kwh, gas_per_mm2_kg, "
+     "materials_new_per_mm2_kg, materials_recycled_per_mm2_kg, yield, fab_intensity_g_per_kwh"),
 ]
 
 
@@ -183,6 +190,91 @@ class TestFiniteAndPositive:
     def test_positive_tolerances_load(self):
         p = params_with("options:\n  breakdown_rel_tol: 1.0e-6\n  crossover_tie_rel_tol: 0.5\n")
         assert (p.options.breakdown_rel_tol, p.options.crossover_tie_rel_tol) == (1e-6, 0.5)
+
+
+def _canonical(unit, value):
+    """`value` as an attribute of this unit holds it. A quantity is built past its own
+    checks, so that only the section class can refuse it."""
+    if unit is None:
+        return value
+    quantity = object.__new__(_UNITS[unit][0])
+    object.__setattr__(quantity, "value", value)
+    return quantity
+
+
+# (section, row) of every row with a hard range
+HARD_ROWS = [(section, row) for section, rows in _FIELDS.items() for row in rows if row[4]]
+
+
+class TestSectionClassesKeepTheTable:
+    """Each parameter class refuses, by attribute, what the loader refuses by field path."""
+
+    @staticmethod
+    def owner(params, section):
+        return params.nodes[10] if section == "nodes" else getattr(params, section)
+
+    @pytest.mark.parametrize("section, row", HARD_ROWS, ids=[row[1] for _, row in HARD_ROWS])
+    def test_non_finite_and_just_outside_are_refused(self, params, section, row):
+        _, attr, kind, unit, (low, high, low_excluded, stated), _ = row
+        if low_excluded:
+            outside = [low]
+        else:
+            outside = [low - 1 if kind == "integer" else math.nextafter(low, -math.inf)]
+        if high < math.inf:
+            outside.append(math.nextafter(high, math.inf))
+        for bad in (math.nan, math.inf, -math.inf, 10**400, *outside):
+            with pytest.raises(ValueError) as info:
+                replace(self.owner(params, section), **{attr: _canonical(unit, bad)})
+            number = math.inf if bad == 10**400 else float(bad)  # an int beyond the float range
+            if kind == "integer" and isinstance(bad, float):  # nan and inf are no integers
+                why = f"expected an integer, got {bad!r}"
+            elif not math.isfinite(number):
+                why = f"must be finite, got {number!r}"
+            else:
+                why = f"must be {stated}, got {number if kind == 'number' else bad!r}"
+            assert str(info.value) == f"{attr} {why}"
+
+    @pytest.mark.parametrize("section, row", HARD_ROWS, ids=[row[1] for _, row in HARD_ROWS])
+    def test_inclusive_bounds_are_accepted(self, params, section, row):
+        _, attr, _, unit, (low, high, low_excluded, _), _ = row
+        # total_employees = 1 needs project_employees <= 1, the one cross-field invariant
+        extra = {"project_employees": 1} if section == "design" else {}
+        for bound in ([] if low_excluded else [low]) + ([high] if high < math.inf else []):
+            made = replace(self.owner(params, section), **{**extra, attr: _canonical(unit, bound)})
+            assert getattr(made, attr) == _canonical(unit, bound)
+
+    # a value of the wrong kind, and how the refusal states the kind
+    WRONG = {"number": (True, "a number"), "integer": (2.0, "an integer"),
+             "flag": ("false", "true or false")}
+    ROWS = [(section, row) for section, rows in _FIELDS.items() for row in rows]
+
+    @pytest.mark.parametrize("section, row", ROWS, ids=[row[1] for _, row in ROWS])
+    def test_a_value_of_the_wrong_kind_is_refused(self, params, section, row):
+        _, attr, kind, unit, _, _ = row
+        bad, expected = self.WRONG.get(kind, ("daily", "'one_time' or 'literal'"))
+        with pytest.raises(ValueError) as info:
+            replace(self.owner(params, section), **{attr: _canonical(unit, bad)})
+        assert str(info.value) == f"{attr} expected {expected}, got {bad!r}"
+
+    def test_a_range_holds_in_document_and_canonical_units(self):
+        # every unit multiplier is positive and every row with a unit is bounded by 0 and inf
+        # only, so one row serves the loader (document units) and the classes (canonical)
+        for section, rows in _FIELDS.items():
+            for key, _, _, unit, hard, _ in rows:
+                if unit is not None:
+                    _, mul, div = _UNITS[unit]
+                    assert div > 0 and (mul is None or mul > 0), unit
+                    assert hard[:2] == (0, math.inf), f"{section}.{key}"
+        # the months multiplier (None) is options.hours_per_dev_month, which must be positive
+        [hours] = [row for row in _FIELDS["options"] if row[0] == "hours_per_dev_month"]
+        assert hours[4][:3] == (0, math.inf, True)
+
+
+def test_example_document_loads_clean():
+    """README calls `example_params.yaml` a fully commented document: it loads, no findings."""
+    p = load_parameters(str(Path(__file__).resolve().parents[1] / "example_params.yaml"))
+    assert validate(p) == []
+    assert (p.nodes[10].yield_fraction, p.design.grid_intensity) == (0.9, CarbonIntensity(0.25))
 
 
 class TestValidateFindings:
